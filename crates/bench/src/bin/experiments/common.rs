@@ -1,12 +1,16 @@
 //! Shared plumbing for every experiment scenario: the CLI `Config`,
 //! suite construction, table/CSV/gnuplot emission, and the PASS/FAIL
-//! check line the smoke harness greps for.
+//! check line; any FAIL makes the scenario exit nonzero.
 
 use antlayer_bench::{evaluate_algorithms, paper_algorithms, AlgoSeries};
 use antlayer_datasets::{GraphSuite, Table};
 use antlayer_graph::Dag;
 use antlayer_layering::WidthModel;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// How many [`check`]s printed FAIL in this process.
+static FAILED_CHECKS: AtomicUsize = AtomicUsize::new(0);
 
 pub(crate) struct Config {
     pub(crate) seed: u64,
@@ -52,8 +56,18 @@ pub(crate) fn emit(cfg: &Config, name: &str, title: &str, table: &Table) -> Resu
     Ok(())
 }
 
+/// Prints one PASS/FAIL line; a FAIL is counted, and `main` exits
+/// nonzero when any check failed.
 pub(crate) fn check(label: &str, ok: bool) {
     println!("check: {label}: {}", if ok { "PASS" } else { "FAIL" });
+    if !ok {
+        FAILED_CHECKS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+/// The number of checks that printed FAIL so far.
+pub(crate) fn failed_checks() -> usize {
+    FAILED_CHECKS.load(Ordering::Relaxed)
 }
 
 pub(crate) fn last<'a>(series: &'a [AlgoSeries], name: &str) -> &'a antlayer_bench::GroupAverages {

@@ -36,7 +36,8 @@
 //!
 //! `--total` scales the suite (default 1277, the paper's corpus size);
 //! every command prints aligned tables and writes `<out>/<name>.csv` plus a
-//! gnuplot-ready `.dat`.
+//! gnuplot-ready `.dat`. A command exits nonzero if any of its
+//! `check:` lines prints FAIL.
 
 mod common;
 mod durability;
@@ -74,6 +75,10 @@ use warmstart::warmstart;
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
+        Ok(()) if common::failed_checks() > 0 => {
+            eprintln!("experiments: {} check(s) failed", common::failed_checks());
+            ExitCode::FAILURE
+        }
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("experiments: {e}");

@@ -29,7 +29,7 @@ use crate::common::{check, emit, Config};
 use antlayer_aco::{AcoLayering, AcoParams, Portfolio};
 use antlayer_datasets::Table;
 use antlayer_graph::{generate, Dag};
-use antlayer_layering::{Solver, WidthModel};
+use antlayer_layering::{LayeringAlgorithm, WidthModel};
 use antlayer_service::protocol::Json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -79,11 +79,11 @@ pub(crate) fn portfolio(cfg: &Config) -> Result<(), String> {
             let colony = AcoLayering::new(params.clone());
 
             let p = racer.solve(&dag, &wm, None);
-            let a = Solver::solve(&colony, &dag, &wm, None);
+            let a = colony.solve(&dag, &wm, None);
             // The anytime worst case: the deadline is already gone, the
             // caller gets whatever incumbent exists right now.
             let p0 = racer.solve(&dag, &wm, Some(Instant::now()));
-            let a0 = Solver::solve(&colony, &dag, &wm, Some(Instant::now()));
+            let a0 = colony.solve(&dag, &wm, Some(Instant::now()));
 
             anytime_ok &= p0.cost <= a0.cost + 1e-9;
             if p.certified {

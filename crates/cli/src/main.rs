@@ -75,7 +75,7 @@ use antlayer_aco::AcoParams;
 use antlayer_datasets::{att_like_graph, GraphSuite, Table};
 use antlayer_graph::io::{dot, gml};
 use antlayer_graph::DiGraph;
-use antlayer_layering::{LayeringAlgorithm, LayeringMetrics, Solution, WidthModel};
+use antlayer_layering::{LayeringMetrics, Solution, WidthModel};
 use antlayer_router::{Router, RouterConfig};
 use antlayer_service::{AlgoSpec, SchedulerConfig, Server, ServerConfig};
 use antlayer_sugiyama::{draw, PipelineOptions, SvgOptions};
@@ -242,16 +242,6 @@ fn load_graph(path: &str, force_gml: bool) -> Result<(DiGraph, Vec<String>), Str
     }
 }
 
-fn make_algorithm(
-    name: &str,
-    seed: u64,
-    threads: usize,
-) -> Result<Box<dyn LayeringAlgorithm>, String> {
-    // One construction point for CLI and server: the service crate's
-    // AlgoSpec owns the name -> algorithm mapping.
-    Ok(cli_algo_spec(name, seed, threads)?.build())
-}
-
 fn cli_algo_spec(name: &str, seed: u64, threads: usize) -> Result<AlgoSpec, String> {
     let mut spec = AlgoSpec::parse(name, seed)?;
     if let AlgoSpec::Aco(params) | AlgoSpec::Portfolio(params) = &mut spec {
@@ -332,15 +322,13 @@ fn cmd_layer(args: &[String]) -> Result<(), String> {
             ("AntColony (warm)".to_string(), run.layering)
         }
         None => {
-            // The cold path runs through the anytime Solver contract:
+            // The cold path runs through the anytime contract:
             // `--deadline-ms` bounds the search, `exact` certifies, and
             // `portfolio` reports its race.
-            let spec = cli_algo_spec(algo_name, seed, threads)?;
-            let solver = spec.solver();
-            let display = spec.build().name().to_string();
-            let solution = solver.solve(&oriented.dag, &widths, deadline);
+            let algo = cli_algo_spec(algo_name, seed, threads)?.solver();
+            let solution = algo.solve(&oriented.dag, &widths, deadline);
             report_solution(&solution);
-            (display, solution.layering)
+            (algo.name().to_string(), solution.layering)
         }
     };
     let m = LayeringMetrics::compute(&oriented.dag, &layering, &widths);
@@ -411,11 +399,12 @@ fn cmd_draw(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args, &["algo", "svg", "seed", "threads"])?;
     let path = flags.positional.first().ok_or("draw: missing input file")?;
     let (graph, labels) = load_graph(path, flags.has("gml"))?;
-    let algo = make_algorithm(
+    let algo = cli_algo_spec(
         flags.get("algo").unwrap_or("aco"),
         flags.get_parsed("seed", 1u64)?,
         flags.get_parsed("threads", 1usize)?,
-    )?;
+    )?
+    .solver();
     let drawing = draw(&graph, algo.as_ref(), &PipelineOptions::default());
     println!("{}", drawing.to_ascii(|v| labels[v.index()].clone()));
     println!(
@@ -692,10 +681,9 @@ mod tests {
             "exact",
             "portfolio",
         ] {
-            assert!(make_algorithm(name, 1, 1).is_ok(), "{name}");
-            assert!(cli_algo_spec(name, 1, 1).is_ok(), "{name} as a solver");
+            assert!(cli_algo_spec(name, 1, 1).is_ok(), "{name}");
         }
-        assert!(make_algorithm("nope", 1, 1).is_err());
+        assert!(cli_algo_spec("nope", 1, 1).is_err());
     }
 
     #[test]

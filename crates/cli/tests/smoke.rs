@@ -38,20 +38,25 @@ fn layer_reads_file_and_prints_metrics() {
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("g.dot");
     std::fs::write(&path, "digraph { a -> b -> c; a -> c; }").unwrap();
-    for algo in [
-        "lpl",
-        "minwidth",
-        "lpl-pl",
-        "minwidth-pl",
-        "cg",
-        "ns",
-        "aco",
-        "exact",
-        "portfolio",
+    // Each algorithm's metrics line starts with its display name.
+    for (algo, display) in [
+        ("lpl", "LPL:"),
+        ("minwidth", "MinWidth:"),
+        ("lpl-pl", "LPL+PL:"),
+        ("minwidth-pl", "MinWidth+PL:"),
+        ("cg", "CoffmanGraham:"),
+        ("ns", "NetworkSimplex:"),
+        ("aco", "AntColony:"),
+        ("exact", "exact:"),
+        ("portfolio", "portfolio:"),
     ] {
         let out = run_ok(&["layer", "--algo", algo, path.to_str().unwrap()]);
         assert!(out.contains("height"), "{algo}: {out}");
         assert!(out.contains("L1"), "{algo} missing layer listing");
+        assert!(
+            out.lines().any(|l| l.starts_with(display)),
+            "{algo}: no line starts with {display:?}: {out}"
+        );
     }
 }
 

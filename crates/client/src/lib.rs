@@ -155,7 +155,7 @@ impl ClientError {
 /// wire fields of `docs/PROTOCOL.md`.
 #[derive(Clone, Debug)]
 pub struct LayoutOptions {
-    /// Solver name (`lpl`, `lpl-pl`, `minwidth`, `minwidth-pl`, `cg`,
+    /// Algorithm name (`lpl`, `lpl-pl`, `minwidth`, `minwidth-pl`, `cg`,
     /// `ns`, `aco`, `exact`, `portfolio`) — sent as `algo`/`solver` on
     /// the wire, which the server treats as aliases.
     pub algo: String,

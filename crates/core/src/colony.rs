@@ -33,7 +33,7 @@ use crate::walk::{perform_walk, WalkCtx};
 use crate::{AcoParams, SearchState, VertexLayerMatrix, WalkScratch};
 use antlayer_graph::{CsrView, Dag};
 use antlayer_layering::{
-    Layering, LayeringAlgorithm, LayeringMetrics, LongestPath, Solution, Solver, WidthModel,
+    Layering, LayeringAlgorithm, LayeringMetrics, LongestPath, Solution, WidthModel,
 };
 use antlayer_parallel::{default_threads, par_map_with_scratch};
 use rand::rngs::StdRng;
@@ -592,16 +592,6 @@ impl AcoLayering {
     }
 }
 
-impl LayeringAlgorithm for AcoLayering {
-    fn name(&self) -> &str {
-        "AntColony"
-    }
-
-    fn layer(&self, dag: &Dag, wm: &WidthModel) -> Layering {
-        self.run(dag, wm).layering
-    }
-}
-
 fn solution_from_run(dag: &Dag, wm: &WidthModel, run: ColonyRun) -> Solution {
     let cost = antlayer_layering::solution_cost(dag, &run.layering, wm);
     Solution {
@@ -614,14 +604,19 @@ fn solution_from_run(dag: &Dag, wm: &WidthModel, run: ColonyRun) -> Solution {
     }
 }
 
-/// The colony under the anytime [`Solver`] contract: `solve` maps to
-/// [`AcoLayering::run_until`], `solve_seeded` warm-starts the incumbent
-/// from the caller's seed ([`AcoLayering::run_seeded_until`]). A deadline
-/// interrupts between walks; the reported incumbent is the colony's best
-/// at that point and `stopped_early` is set.
-impl Solver for AcoLayering {
+/// The colony as a [`LayeringAlgorithm`]: `layer` is a full
+/// [`AcoLayering::run`], `solve` maps to [`AcoLayering::run_until`], and
+/// `solve_seeded` warm-starts the incumbent from the caller's seed
+/// ([`AcoLayering::run_seeded_until`]). A deadline interrupts between
+/// walks; the reported incumbent is the colony's best at that point and
+/// `stopped_early` is set.
+impl LayeringAlgorithm for AcoLayering {
     fn name(&self) -> &str {
-        "aco"
+        "AntColony"
+    }
+
+    fn layer(&self, dag: &Dag, wm: &WidthModel) -> Layering {
+        self.run(dag, wm).layering
     }
 
     fn solve(&self, dag: &Dag, wm: &WidthModel, deadline: Option<Instant>) -> Solution {
@@ -639,7 +634,7 @@ impl Solver for AcoLayering {
             Ok(run) => solution_from_run(dag, wm, run),
             // An unusable seed must not break the contract: fall back to
             // the cold anytime run.
-            Err(_) => Solver::solve(self, dag, wm, deadline),
+            Err(_) => self.solve(dag, wm, deadline),
         }
     }
 }

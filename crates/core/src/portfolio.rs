@@ -25,7 +25,7 @@ use crate::{AcoLayering, AcoParams};
 use antlayer_graph::Dag;
 use antlayer_layering::{
     solution_cost, Exact, Layering, LayeringAlgorithm, LongestPath, MemberStats, MinWidth,
-    NetworkSimplex, Promote, RaceReport, Refined, Solution, Solver, WidthModel,
+    NetworkSimplex, Promote, RaceReport, Refined, Solution, WidthModel,
 };
 use std::time::Instant;
 
@@ -74,7 +74,7 @@ impl Portfolio {
             members.push(stats);
         };
 
-        // 1. Constructive incumbents — always run; they are the cheap
+        // 1. The constructive incumbents — always run; they are the cheap
         // answers the portfolio exists to have on hand.
         let constructives: [(&str, Box<dyn LayeringAlgorithm>); 5] = [
             ("lpl", Box::new(LongestPath)),
@@ -123,7 +123,7 @@ impl Portfolio {
         let mut certified_cost: Option<f64> = None;
         if dag.node_count() <= self.exact.node_cap && !expired(Instant::now()) {
             let t0 = Instant::now();
-            let s = Solver::solve(&self.exact, dag, wm, deadline);
+            let s = self.exact.solve(dag, wm, deadline);
             // The exact solver falls back to LPL when truncated before
             // any incumbent; either way it returns a layering to race.
             let stats = MemberStats {
@@ -150,7 +150,7 @@ impl Portfolio {
                 let incumbent = best.as_ref().map(|(l, _, _)| l.clone());
                 let s = match &incumbent {
                     Some(l) => self.params_solver().solve_seeded(dag, wm, l, deadline),
-                    None => Solver::solve(&self.params_solver(), dag, wm, deadline),
+                    None => self.params_solver().solve(dag, wm, deadline),
                 };
                 stopped_early |= s.stopped_early;
                 let stats = MemberStats {
@@ -185,9 +185,13 @@ impl Portfolio {
     }
 }
 
-impl Solver for Portfolio {
+impl LayeringAlgorithm for Portfolio {
     fn name(&self) -> &str {
         "portfolio"
+    }
+
+    fn layer(&self, dag: &Dag, wm: &WidthModel) -> Layering {
+        self.solve(dag, wm, None).layering
     }
 
     fn solve(&self, dag: &Dag, wm: &WidthModel, deadline: Option<Instant>) -> Solution {
@@ -316,7 +320,7 @@ mod tests {
             let dag = generate::random_dag_with_edges(30, 50, &mut rng);
             let wm = WidthModel::unit();
             let p = Portfolio::new(params()).solve(&dag, &wm, None);
-            let cold = Solver::solve(&AcoLayering::new(params()), &dag, &wm, None);
+            let cold = AcoLayering::new(params()).solve(&dag, &wm, None);
             assert!(
                 p.cost <= cold.cost + 1e-9,
                 "portfolio {} lost to cold aco {}",

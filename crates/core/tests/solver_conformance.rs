@@ -1,6 +1,6 @@
-//! Conformance suite for the anytime [`Solver`] contract.
+//! Conformance suite for the anytime side of [`LayeringAlgorithm`].
 //!
-//! Every implementation — the six constructive wrappers, the exact
+//! Every implementation — the six constructive algorithms, the exact
 //! branch and bound, the ant colony, and the portfolio — is run through
 //! the same battery:
 //!
@@ -17,8 +17,8 @@
 use antlayer_aco::{AcoLayering, AcoParams, Portfolio};
 use antlayer_graph::{generate, Dag};
 use antlayer_layering::{
-    exact, solution_cost, CoffmanGraham, Constructive, Exact, LayeringAlgorithm, LayeringMetrics,
-    LongestPath, MinWidth, NetworkSimplex, Promote, Refined, Solver, WidthModel,
+    exact, solution_cost, CoffmanGraham, Exact, LayeringAlgorithm, LayeringMetrics, LongestPath,
+    MinWidth, NetworkSimplex, Promote, Refined, WidthModel,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -28,38 +28,28 @@ fn params() -> AcoParams {
     AcoParams::default().with_colony(4, 6).with_seed(77)
 }
 
-/// Every registered solver, plus whether it is a genuine anytime search
-/// (its `stopped_early` must be set under an expired deadline).
-fn solvers() -> Vec<(Box<dyn Solver>, bool)> {
+/// The single-pass algorithms, which answer through the provided
+/// `solve`.
+fn constructives() -> Vec<Box<dyn LayeringAlgorithm>> {
     vec![
-        (Box::new(Constructive::new("lpl", LongestPath)), false),
-        (
-            Box::new(Constructive::new(
-                "lpl-pl",
-                Refined::new(LongestPath, Promote::new()),
-            )),
-            false,
-        ),
-        (
-            Box::new(Constructive::new("minwidth", MinWidth::new())),
-            false,
-        ),
-        (
-            Box::new(Constructive::new(
-                "minwidth-pl",
-                Refined::new(MinWidth::new(), Promote::new()),
-            )),
-            false,
-        ),
-        (
-            Box::new(Constructive::new("cg:4", CoffmanGraham::new(4))),
-            false,
-        ),
-        (Box::new(Constructive::new("ns", NetworkSimplex)), false),
-        (Box::new(Exact::default()), true),
-        (Box::new(AcoLayering::new(params())), true),
-        (Box::new(Portfolio::new(params())), true),
+        Box::new(LongestPath),
+        Box::new(Refined::new(LongestPath, Promote::new())),
+        Box::new(MinWidth::new()),
+        Box::new(Refined::new(MinWidth::new(), Promote::new())),
+        Box::new(CoffmanGraham::new(4)),
+        Box::new(NetworkSimplex),
     ]
+}
+
+/// Every registered algorithm, plus whether it is a genuine anytime
+/// search (its `stopped_early` must be set under an expired deadline).
+fn solvers() -> Vec<(Box<dyn LayeringAlgorithm>, bool)> {
+    let mut all: Vec<(Box<dyn LayeringAlgorithm>, bool)> =
+        constructives().into_iter().map(|a| (a, false)).collect();
+    all.push((Box::new(Exact::default()), true));
+    all.push((Box::new(AcoLayering::new(params())), true));
+    all.push((Box::new(Portfolio::new(params())), true));
+    all
 }
 
 fn graphs() -> Vec<Dag> {
@@ -150,30 +140,33 @@ fn deterministic_under_a_fixed_seed() {
 
 #[test]
 fn constructive_solutions_match_the_direct_algorithm() {
-    let cases: Vec<(Box<dyn Solver>, Box<dyn LayeringAlgorithm>)> = vec![
-        (
-            Box::new(Constructive::new("lpl", LongestPath)),
-            Box::new(LongestPath),
-        ),
-        (
-            Box::new(Constructive::new("minwidth", MinWidth::new())),
-            Box::new(MinWidth::new()),
-        ),
-        (
-            Box::new(Constructive::new("ns", NetworkSimplex)),
-            Box::new(NetworkSimplex),
-        ),
-        (
-            Box::new(Constructive::new("cg:4", CoffmanGraham::new(4))),
-            Box::new(CoffmanGraham::new(4)),
-        ),
-    ];
     for dag in graphs() {
         let wm = WidthModel::unit();
-        for (solver, algo) in &cases {
-            let s = solver.solve(&dag, &wm, None);
-            assert_eq!(s.layering, algo.layer(&dag, &wm), "{}", solver.name());
+        let seed = LongestPath.layer(&dag, &wm);
+        for algo in constructives() {
+            let direct = algo.layer(&dag, &wm);
+            // The deadline is ignored: even an expired one gets the full
+            // answer, neither truncated nor certified.
+            for deadline in [None, Some(Instant::now())] {
+                let s = algo.solve(&dag, &wm, deadline);
+                assert_eq!(s.layering, direct, "{}", algo.name());
+                assert!(!s.stopped_early && !s.certified, "{}", algo.name());
+            }
+            // The seed is ignored too.
+            let s = algo.solve_seeded(&dag, &wm, &seed, None);
+            assert_eq!(
+                s.layering,
+                direct,
+                "{}: seed changed the answer",
+                algo.name()
+            );
+            assert!(!s.seeded, "{}", algo.name());
         }
+        let exact = Exact::default();
+        assert_eq!(
+            exact.solve(&dag, &wm, None).layering,
+            exact.layer(&dag, &wm)
+        );
     }
 }
 
@@ -183,7 +176,7 @@ fn aco_solution_matches_the_direct_colony_run() {
     let dag = generate::random_dag_with_edges(25, 40, &mut rng);
     let wm = WidthModel::unit();
     let algo = AcoLayering::new(params());
-    let s = Solver::solve(&algo, &dag, &wm, None);
+    let s = algo.solve(&dag, &wm, None);
     let run = algo.run(&dag, &wm);
     assert_eq!(s.layering, run.layering);
     // Parity between the solver's H+W cost and the colony's objective
@@ -198,7 +191,7 @@ fn exact_solution_matches_the_direct_bounded_search() {
     let mut rng = StdRng::seed_from_u64(10);
     let dag = generate::gnp_dag(9, 0.25, &mut rng);
     let wm = WidthModel::unit();
-    let s = Solver::solve(&Exact::default(), &dag, &wm, None);
+    let s = Exact::default().solve(&dag, &wm, None);
     assert!(s.certified);
     let direct = exact::min_cost_layering(&dag, &wm, &exact::SearchBudget::unlimited());
     let (layering, cost) = direct.best.unwrap();
@@ -237,7 +230,7 @@ fn seeded_solves_never_return_something_worse_than_searching_from_scratch_allows
     let seed = LongestPath.layer(&dag, &wm);
     let seed_cost = solution_cost(&dag, &seed, &wm);
     for solver in [
-        Box::new(AcoLayering::new(params())) as Box<dyn Solver>,
+        Box::new(AcoLayering::new(params())) as Box<dyn LayeringAlgorithm>,
         Box::new(Portfolio::new(params())),
     ] {
         let s = solver.solve_seeded(&dag, &wm, &seed, None);

@@ -1,18 +1,59 @@
 //! The [`LayeringAlgorithm`] abstraction and combinators.
+//!
+//! Every layering engine — the single-pass constructive algorithms, the
+//! exponential exact search, the ant colony, the portfolio that races
+//! them — implements this one trait. Its anytime side is the contract
+//! the service serves under: *given a DAG, a width model, and an
+//! optional absolute deadline, return the best incumbent found by the
+//! deadline, never panic, and say whether the clock truncated the
+//! search.* The paper's objective is `f = 1 / (H + W)`; a [`Solution`]
+//! reports the denominator [`Solution::cost`] `= H + W` of the
+//! normalized layering, so results from different engines compare
+//! directly (smaller is better).
 
-use crate::{Layering, WidthModel};
+use crate::{Layering, Solution, WidthModel};
 use antlayer_graph::Dag;
+use std::time::Instant;
 
 /// A layering algorithm: produces a valid [`Layering`] for any DAG.
 ///
 /// Implementations must return layerings that pass
 /// [`Layering::validate`] and are [normalized](Layering::normalize).
+///
+/// Only [`name`](Self::name) and [`layer`](Self::layer) are required.
+/// The provided [`solve`](Self::solve) suits single-pass algorithms:
+/// their one layering is the incumbent, so they ignore the deadline, an
+/// expired deadline still gets an answer, and `stopped_early` stays
+/// `false`. Searches that can use a clock or a warm start (the exact
+/// search, the colony, the portfolio) override `solve` and
+/// [`solve_seeded`](Self::solve_seeded) instead.
 pub trait LayeringAlgorithm {
     /// Short human-readable name, used in reports ("LPL", "MinWidth", …).
     fn name(&self) -> &str;
 
     /// Layers `dag` under the given width model.
     fn layer(&self, dag: &Dag, widths: &WidthModel) -> Layering;
+
+    /// Solves `dag` under `wm`, returning the best incumbent found by
+    /// `deadline` (`None` = run to the algorithm's own convergence).
+    fn solve(&self, dag: &Dag, wm: &WidthModel, deadline: Option<Instant>) -> Solution {
+        let _ = deadline;
+        Solution::of(dag, wm, self.layer(dag, wm))
+    }
+
+    /// Like [`solve`](Self::solve), warm-started from `seed` (a valid
+    /// layering of `dag`). Algorithms that cannot exploit a seed ignore
+    /// it; the default does exactly that.
+    fn solve_seeded(
+        &self,
+        dag: &Dag,
+        wm: &WidthModel,
+        seed: &Layering,
+        deadline: Option<Instant>,
+    ) -> Solution {
+        let _ = seed;
+        self.solve(dag, wm, deadline)
+    }
 }
 
 /// A post-pass that improves an existing layering in place (e.g. Promote
@@ -55,24 +96,6 @@ impl<A: LayeringAlgorithm, R: LayeringRefinement> LayeringAlgorithm for Refined<
         self.refinement.refine(dag, &mut l, widths);
         l.normalize();
         l
-    }
-}
-
-impl<T: LayeringAlgorithm + ?Sized> LayeringAlgorithm for &T {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn layer(&self, dag: &Dag, widths: &WidthModel) -> Layering {
-        (**self).layer(dag, widths)
-    }
-}
-
-impl<T: LayeringAlgorithm + ?Sized> LayeringAlgorithm for Box<T> {
-    fn name(&self) -> &str {
-        (**self).name()
-    }
-    fn layer(&self, dag: &Dag, widths: &WidthModel) -> Layering {
-        (**self).layer(dag, widths)
     }
 }
 
@@ -136,5 +159,8 @@ mod tests {
             .layer(&dag, &WidthModel::unit())
             .validate(&dag)
             .unwrap();
+        // The provided anytime methods dispatch through the trait object.
+        let s = boxed.solve(&dag, &WidthModel::unit(), None);
+        assert_eq!(s.layering, by_ref.layer(&dag, &WidthModel::unit()));
     }
 }

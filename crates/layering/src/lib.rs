@@ -11,7 +11,12 @@
 //!   (Algorithm 2);
 //! * [`Promote`] — the Promote Layering (PL) dummy-reduction post-pass,
 //!   combinable with any base algorithm via [`Refined`];
-//! * [`CoffmanGraham`] — the classic width-bounded layering (extension).
+//! * [`CoffmanGraham`] — the classic width-bounded layering (extension);
+//! * [`Exact`] — a size-capped branch and bound that certifies optimality.
+//!
+//! All of them implement the one [`LayeringAlgorithm`] trait: `layer`
+//! returns a layering, and the anytime `solve` returns a [`Solution`]
+//! (layering, cost `H + W`, and whether a deadline truncated it).
 //!
 //! Geometry convention (paper §II): layers are numbered `1..=h`, every edge
 //! `(u, v)` satisfies `layer(u) > layer(v)`, sinks sit on layer 1.
@@ -51,7 +56,5 @@ pub use minwidth::MinWidth;
 pub use network_simplex::NetworkSimplex;
 pub use promote::Promote;
 pub use proper::{NodeKind, ProperLayering};
-pub use solver::{
-    solution_cost, AsAlgorithm, Constructive, Exact, MemberStats, RaceReport, Solution, Solver,
-};
+pub use solver::{solution_cost, Exact, MemberStats, RaceReport, Solution};
 pub use width::WidthModel;

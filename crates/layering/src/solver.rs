@@ -1,26 +1,18 @@
-//! The anytime [`Solver`] contract every layering engine serves under.
+//! What an anytime [`LayeringAlgorithm::solve`] returns, and the exact
+//! search behind it.
 //!
-//! The service races heterogeneous engines — single-pass constructive
-//! algorithms, the exponential exact search, the ant colony — behind one
-//! contract: *given a DAG, a width model, and an optional absolute
-//! deadline, return the best incumbent found by the deadline, never
-//! panic, and say whether the clock truncated the search.* The paper's
-//! objective is `f = 1 / (H + W)`; solvers report the denominator
-//! [`Solution::cost`] `= H + W` of the normalized layering, so results
-//! from different engines compare directly (smaller is better).
-//!
-//! * [`Constructive`] adapts any [`LayeringAlgorithm`]: its one solution
-//!   is the incumbent, available instantly, so an expired deadline still
-//!   gets an answer and `stopped_early` stays `false`.
+//! * [`Solution`] is the incumbent plus the contract's flags; its
+//!   [`cost`](Solution::cost) is [`solution_cost`], the `H + W` every
+//!   engine is compared on.
 //! * [`Exact`] wraps the branch and bound of [`crate::exact`] with a
 //!   deadline check and a node cap; a run that completes the search
 //!   *certifies* its solution as optimal ([`Solution::certified`]).
-//! * The ant colony and the portfolio driver implement the trait in the
+//! * The ant colony and the portfolio driver override `solve` in the
 //!   `antlayer-aco` crate (they need colony internals to warm-start).
 //!
-//! A [`Solution`] may carry a [`RaceReport`] when the solver is itself a
-//! race over members (the portfolio): who won, and each member's cost,
-//! wall time, and flags.
+//! A [`Solution`] may carry a [`RaceReport`] when the algorithm is
+//! itself a race over members (the portfolio): who won, and each
+//! member's cost, wall time, and flags.
 
 use crate::{exact, Layering, LayeringAlgorithm, LayeringMetrics, LongestPath, WidthModel};
 use antlayer_graph::Dag;
@@ -28,8 +20,8 @@ use std::time::Instant;
 
 /// The paper's comparison cost of a layering: `height + width` of the
 /// normalized layering (the denominator of the objective `1/(H+W)`),
-/// dummy widths included per `wm`. Smaller is better; every [`Solver`]
-/// reports it so heterogeneous engines compare directly.
+/// dummy widths included per `wm`. Smaller is better; every
+/// [`Solution`] reports it so heterogeneous engines compare directly.
 pub fn solution_cost(dag: &Dag, layering: &Layering, wm: &WidthModel) -> f64 {
     let m = LayeringMetrics::compute(dag, layering, wm);
     m.height as f64 + m.width
@@ -60,7 +52,8 @@ pub struct RaceReport {
     pub members: Vec<MemberStats>,
 }
 
-/// What a [`Solver`] returns: the incumbent plus the contract's flags.
+/// What [`LayeringAlgorithm::solve`] returns: the incumbent plus the
+/// contract's flags.
 #[derive(Clone, Debug)]
 pub struct Solution {
     /// The best layering found (valid and normalized).
@@ -95,71 +88,6 @@ impl Solution {
     }
 }
 
-/// The anytime contract: return the best incumbent by `deadline`, never
-/// panic, report truncation. See the module docs for the semantics each
-/// implementation gives the flags.
-pub trait Solver {
-    /// The solver's registered wire name (`lpl`, `aco`, `exact`,
-    /// `portfolio`, …) — what requests select and responses report.
-    fn name(&self) -> &str;
-
-    /// Solves `dag` under `wm`, returning the best incumbent found by
-    /// `deadline` (`None` = run to the solver's own convergence).
-    fn solve(&self, dag: &Dag, wm: &WidthModel, deadline: Option<Instant>) -> Solution;
-
-    /// Like [`solve`](Self::solve), warm-started from `seed` (a valid
-    /// layering of `dag`). Solvers that cannot exploit a seed ignore it;
-    /// the default does exactly that.
-    fn solve_seeded(
-        &self,
-        dag: &Dag,
-        wm: &WidthModel,
-        seed: &Layering,
-        deadline: Option<Instant>,
-    ) -> Solution {
-        let _ = seed;
-        self.solve(dag, wm, deadline)
-    }
-}
-
-/// Adapts a single-pass [`LayeringAlgorithm`] to the anytime contract:
-/// its one solution is computed immediately and *is* the incumbent, so
-/// even an already-expired deadline gets an answer and `stopped_early`
-/// stays `false`.
-pub struct Constructive {
-    name: String,
-    algo: Box<dyn LayeringAlgorithm>,
-}
-
-impl Constructive {
-    /// Wraps `algo` under the registered solver name `name`.
-    pub fn new(name: impl Into<String>, algo: impl LayeringAlgorithm + 'static) -> Constructive {
-        Constructive {
-            name: name.into(),
-            algo: Box::new(algo),
-        }
-    }
-
-    /// Wraps an already-boxed algorithm (the service's construction
-    /// point hands these out).
-    pub fn from_boxed(name: impl Into<String>, algo: Box<dyn LayeringAlgorithm>) -> Constructive {
-        Constructive {
-            name: name.into(),
-            algo,
-        }
-    }
-}
-
-impl Solver for Constructive {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn solve(&self, dag: &Dag, wm: &WidthModel, _deadline: Option<Instant>) -> Solution {
-        Solution::of(dag, wm, self.algo.layer(dag, wm))
-    }
-}
-
 /// The exact branch and bound behind the anytime contract: under the
 /// node cap it searches for the true minimum of `H + W` and *certifies*
 /// the result when the search completes; a deadline (or the expansion
@@ -185,9 +113,13 @@ impl Default for Exact {
     }
 }
 
-impl Solver for Exact {
+impl LayeringAlgorithm for Exact {
     fn name(&self) -> &str {
         "exact"
+    }
+
+    fn layer(&self, dag: &Dag, widths: &WidthModel) -> Layering {
+        self.solve(dag, widths, None).layering
     }
 
     fn solve(&self, dag: &Dag, wm: &WidthModel, deadline: Option<Instant>) -> Solution {
@@ -222,21 +154,6 @@ impl Solver for Exact {
     }
 }
 
-/// Adapts any [`Solver`] back to the [`LayeringAlgorithm`] interface
-/// (deadline-free solve); lets the CLI and benches treat `exact` and
-/// `portfolio` like any other algorithm.
-pub struct AsAlgorithm<S>(pub S);
-
-impl<S: Solver> LayeringAlgorithm for AsAlgorithm<S> {
-    fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    fn layer(&self, dag: &Dag, widths: &WidthModel) -> Layering {
-        self.0.solve(dag, widths, None).layering
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,16 +167,16 @@ mod tests {
     fn constructive_matches_its_algorithm_and_ignores_deadlines() {
         let dag = diamond();
         let wm = WidthModel::unit();
-        let solver = Constructive::new("lpl", LongestPath);
-        assert_eq!(solver.name(), "lpl");
+        assert_eq!(LongestPath.name(), "LPL");
         let expired = Some(Instant::now());
-        let s = solver.solve(&dag, &wm, expired);
+        let s = LongestPath.solve(&dag, &wm, expired);
         assert_eq!(s.layering, LongestPath.layer(&dag, &wm));
         assert!(!s.stopped_early, "constructive answers are instant");
         assert!(!s.certified);
         assert_eq!(s.cost, solution_cost(&dag, &s.layering, &wm));
         // The default seeded path ignores the seed.
-        let seeded = solver.solve_seeded(&dag, &wm, &s.layering, None);
+        let seed = MinWidth::new().layer(&dag, &wm);
+        let seeded = LongestPath.solve_seeded(&dag, &wm, &seed, None);
         assert_eq!(seeded.layering, s.layering);
         assert!(!seeded.seeded);
     }
@@ -301,12 +218,17 @@ mod tests {
     }
 
     #[test]
-    fn as_algorithm_adapts_a_solver() {
+    fn exact_layer_is_its_deadline_free_solve() {
         let dag = diamond();
         let wm = WidthModel::unit();
-        let algo = AsAlgorithm(Exact::default());
+        let algo: &dyn LayeringAlgorithm = &Exact::default();
         assert_eq!(algo.name(), "exact");
         let l = algo.layer(&dag, &wm);
         l.validate(&dag).unwrap();
+        assert_eq!(l, algo.solve(&dag, &wm, None).layering);
+        // Exact cannot use a seed: the default seeded path ignores it.
+        let seeded = algo.solve_seeded(&dag, &wm, &LongestPath.layer(&dag, &wm), None);
+        assert!(!seeded.seeded);
+        assert_eq!(seeded.layering, l);
     }
 }

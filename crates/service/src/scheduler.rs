@@ -26,8 +26,8 @@ use crate::digest::{request_digest, Digest};
 use antlayer_aco::{AcoLayering, AcoParams, Portfolio};
 use antlayer_graph::{DiGraph, GraphDelta};
 use antlayer_layering::{
-    AsAlgorithm, CoffmanGraham, Constructive, Exact, Layering, LayeringAlgorithm, LayeringMetrics,
-    LongestPath, MinWidth, NetworkSimplex, Promote, RaceReport, Refined, Solver, WidthModel,
+    CoffmanGraham, Exact, Layering, LayeringAlgorithm, LayeringMetrics, LongestPath, MinWidth,
+    NetworkSimplex, Promote, RaceReport, Refined, WidthModel,
 };
 use antlayer_obs::{Counter, Histogram, Registry};
 use antlayer_parallel::WorkerPool;
@@ -109,10 +109,10 @@ impl AlgoSpec {
         }
     }
 
-    /// Instantiates the algorithm. Deadline-free view of
-    /// [`AlgoSpec::solver`] for callers (CLI `draw`, benches) that want
-    /// a plain [`LayeringAlgorithm`].
-    pub fn build(&self) -> Box<dyn LayeringAlgorithm> {
+    /// Instantiates the algorithm. The single construction point shared
+    /// by the scheduler and the CLI — adding an algorithm means touching
+    /// [`AlgoSpec::parse`], [`AlgoSpec::canonical_name`], and this.
+    pub fn solver(&self) -> Box<dyn LayeringAlgorithm> {
         match self {
             AlgoSpec::LongestPath => Box::new(LongestPath),
             AlgoSpec::LplPromote => Box::new(Refined::new(LongestPath, Promote::new())),
@@ -121,24 +121,8 @@ impl AlgoSpec {
             AlgoSpec::CoffmanGraham(w) => Box::new(CoffmanGraham::new(*w as usize)),
             AlgoSpec::NetworkSimplex => Box::new(NetworkSimplex),
             AlgoSpec::Aco(p) => Box::new(AcoLayering::new(p.clone())),
-            AlgoSpec::Exact => Box::new(AsAlgorithm(Exact::default())),
-            AlgoSpec::Portfolio(p) => Box::new(AsAlgorithm(Portfolio::new(p.clone()))),
-        }
-    }
-
-    /// Instantiates the solver behind the anytime contract. The single
-    /// construction point shared by the scheduler and the CLI — adding
-    /// a solver means touching [`AlgoSpec::parse`],
-    /// [`AlgoSpec::canonical_name`], and this.
-    pub fn solver(&self) -> Box<dyn Solver> {
-        match self {
-            AlgoSpec::Aco(p) => Box::new(AcoLayering::new(p.clone())),
             AlgoSpec::Exact => Box::new(Exact::default()),
             AlgoSpec::Portfolio(p) => Box::new(Portfolio::new(p.clone())),
-            constructive => Box::new(Constructive::from_boxed(
-                constructive.canonical_name(),
-                constructive.build(),
-            )),
         }
     }
 }
@@ -153,9 +137,12 @@ pub struct LayoutRequest {
     pub algo: AlgoSpec,
     /// Dummy-vertex width of the width model.
     pub nd_width: f64,
-    /// Optional wall-clock budget, measured from submission. Only the
-    /// ACO algorithm is anytime; the baselines finish in microseconds
-    /// and ignore it.
+    /// Optional wall-clock budget, measured from submission. The colony
+    /// and the exact search stop at it; the portfolio checks it only
+    /// between members. The constructive algorithms ignore it and run to
+    /// completion however long that takes: `perfbench/README.md`
+    /// measures a 250-node portfolio request at 3–7× a 100 ms deadline,
+    /// mostly in `ns`.
     pub deadline: Option<Duration>,
 }
 
@@ -637,10 +624,9 @@ impl Scheduler {
                                 cache.insert_costed(entry.digest, Arc::new(result), bytes);
                                 cache_restored.inc();
                             }
-                            Err(e) => eprintln!(
-                                "warning: skipping cache record {}: {e}",
-                                entry.digest
-                            ),
+                            Err(e) => {
+                                eprintln!("warning: skipping cache record {}: {e}", entry.digest)
+                            }
                         }
                     }
                     if let Some(budget) = cfg.cache_byte_budget {
@@ -972,11 +958,11 @@ impl Scheduler {
         if self.cache.peek(entry.digest).is_some() {
             return Ok(false);
         }
-        let result = Arc::new(
-            crate::persist::restore_result(entry).map_err(ServiceError::InvalidRequest)?,
-        );
+        let result =
+            Arc::new(crate::persist::restore_result(entry).map_err(ServiceError::InvalidRequest)?);
         let bytes = result.approx_bytes();
-        self.cache.insert_costed(entry.digest, result.clone(), bytes);
+        self.cache
+            .insert_costed(entry.digest, result.clone(), bytes);
         self.cache_restored.inc();
         if let Some(budget) = self.cfg.cache_byte_budget {
             warn_if_over_budget(self.cache.bytes(), budget, &self.bytes_warned);
@@ -1123,7 +1109,7 @@ fn validate_request(request: &LayoutRequest) -> Result<(), ServiceError> {
 /// Runs the requested solver under the anytime contract; cycles in the
 /// input are oriented away first, exactly as the CLI does. With a `warm`
 /// base (the `layout_delta` path), the base layering is repaired onto
-/// the edited DAG and handed to [`Solver::solve_seeded`] — the colony
+/// the edited DAG and handed to [`LayeringAlgorithm::solve_seeded`] — the colony
 /// installs it as its incumbent, the portfolio races it as a member, and
 /// the single-pass solvers ignore it.
 ///
@@ -1889,10 +1875,7 @@ mod tests {
         // replication `cache_put` install. All must land on the same
         // `approx_bytes` charge, so `cache_bytes` (and the byte budget)
         // stay honest across restarts and replication.
-        let dir = std::env::temp_dir().join(format!(
-            "antlayer-sched-bytes-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("antlayer-sched-bytes-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let persistent = SchedulerConfig {
             threads: 2,

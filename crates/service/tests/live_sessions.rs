@@ -197,50 +197,63 @@ fn slow_consumer_is_evicted_with_overloaded_frame() {
     });
     let (mut stream, mut reader) = connect_live(&handle);
 
-    // A long chain over nodes 500..2500, with spare nodes at both ends.
-    // Each edit extends the chain at the head AND the tail, so every
-    // node's layer index shifts whichever end the layering anchors to:
-    // each push frame lists ~2000 changed layers (tens of KB). Bursts
-    // coalesce while a re-solve is in flight, so the edit stream keeps
-    // going until the pushed frames outrun the kernel's absorption and
-    // the bounded queue reports the eviction.
-    const HEAD: u32 = 500;
-    const TAIL: u32 = 2500;
-    let edges: Vec<(u32, u32)> = (HEAD..TAIL - 1).map(|i| (i, i + 1)).collect();
-    let graph = DiGraph::from_edges(3000, &edges).unwrap();
+    // A 512-node chain plus one spare node. Sinks sit on layer 1, so
+    // hanging the spare node below the chain's sink lifts every chain
+    // node one layer and removing that edge drops them back: every edit
+    // changes every layer, so every push frame lists all ~512 of them
+    // (a few KB). The two graphs solve in microseconds (cache hits after
+    // the first round), so the push rate does not depend on the CPU.
+    // Much smaller frames do not work: with a 64-node chain, Linux
+    // loopback absorbed over 30 000 unread pushes without a WouldBlock.
+    const LEN: u32 = 512;
+    let graph = chain(LEN as usize + 1, LEN as usize);
     writeln!(stream, "{}", open_line(5, graph)).unwrap();
     match read_frame(&mut reader) {
         Response::SessionOpened { version: 0, .. } => {}
         other => panic!("expected SessionOpened, got {}", other.encode(&protocol::Envelope::v1())),
     }
 
-    // Extend both ends once per tick and never read a push, until the
-    // stats counter shows the server gave up on us.
-    let mut evicted = 0;
-    for j in 0..(HEAD - 1) {
-        let add = [(HEAD - 1 - j, HEAD - j), (TAIL - 1 + j, TAIL + j)];
-        writeln!(stream, "{}", delta_line(5, &add, &[])).unwrap();
-        std::thread::sleep(Duration::from_millis(2));
-        if j % 25 == 24 {
-            evicted = admin_stat(&handle, "session_evicted");
-            if evicted >= 1 {
+    // Never read a push. Each edit waits until its push is queued (or
+    // the session is evicted), so no two edits coalesce into one solve:
+    // every edit adds a full frame to the unread backlog, until the
+    // kernel buffers fill and the bounded queue evicts the session.
+    // Without TCP_NODELAY each edit's trailing bytes wait out the
+    // server's delayed ACK (~40 ms a push).
+    stream.set_nodelay(true).unwrap();
+    let spare = [(LEN - 1, LEN)];
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let mut pushes = 0;
+    let mut edits = 0u64;
+    let mut hung = false;
+    'edits: loop {
+        let line = if hung {
+            delta_line(5, &[], &spare)
+        } else {
+            delta_line(5, &spare, &[])
+        };
+        hung = !hung;
+        writeln!(stream, "{line}").unwrap();
+        edits += 1;
+        loop {
+            assert!(
+                Instant::now() < deadline,
+                "session_evicted never incremented (edits={edits} pushes={pushes})"
+            );
+            if admin_stat(&handle, "session_evicted") >= 1 {
+                break 'edits;
+            }
+            let now = admin_stat(&handle, "session_pushes");
+            if now > pushes {
+                pushes = now;
                 break;
             }
         }
     }
-    // Any straggling pending solves can still trip the cap after the
-    // edit loop; give them a moment before declaring failure.
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while evicted < 1 {
-        assert!(
-            Instant::now() < deadline,
-            "session_evicted never incremented (pushes={} coalesced={})",
-            admin_stat(&handle, "session_pushes"),
-            admin_stat(&handle, "session_coalesced"),
-        );
-        std::thread::sleep(Duration::from_millis(50));
-        evicted = admin_stat(&handle, "session_evicted");
-    }
+    assert_eq!(
+        admin_stat(&handle, "session_coalesced"),
+        0,
+        "edits were paced one per push"
+    );
 
     // …and as an overloaded control frame once the reader drains the
     // backlog (control frames are never dropped).

@@ -24,6 +24,8 @@ out="${1:-bench-out}"
 #   live           streaming edit sessions: 10k idle + 8 hot push gates → BENCH_10.json
 #   observability  instrumented vs telemetry-off colony       → BENCH_6.json (baseline-gated)
 #   hotpath        zero-alloc colony vs reference path        → BENCH_4.json (baseline-gated)
+#   fig4..fig9     the paper's figures on a 200-graph slice    (built-in checks)
+#   extended       paper set + Coffman-Graham + network simplex (built-in checks)
 scenarios=(
     "warmstart:"
     "sharding:"
@@ -36,6 +38,10 @@ scenarios=(
     "hotpath:BENCH_4.json"
 )
 
+# The paper's claims (Figs. 4-9 and the extended set), each gated by its
+# own `check:` lines; 200 graphs keep every scenario to about a second.
+figures=(fig4 fig5 fig6 fig7 fig8 fig9 extended)
+
 for entry in "${scenarios[@]}"; do
     scenario="${entry%%:*}"
     baseline="${entry#*:}"
@@ -45,6 +51,11 @@ for entry in "${scenarios[@]}"; do
     fi
     echo "== experiments ${args[*]}"
     cargo run --release -p antlayer-bench --bin experiments -- "${args[@]}"
+done
+
+for figure in "${figures[@]}"; do
+    echo "== experiments $figure --total 200 --out $out"
+    cargo run --release -p antlayer-bench --bin experiments -- "$figure" --total 200 --out "$out"
 done
 
 # loadgen smoke over both framings (concurrent clients, in-process

@@ -12,8 +12,8 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`graph`] | `antlayer-graph` | [`DiGraph`](graph::DiGraph), [`Dag`](graph::Dag), topological algorithms, generators, DOT/GML I/O |
-//! | [`layering`] | `antlayer-layering` | [`Layering`](layering::Layering), metrics, [`LongestPath`](layering::LongestPath), [`MinWidth`](layering::MinWidth), [`Promote`](layering::Promote), [`CoffmanGraham`](layering::CoffmanGraham) |
-//! | [`aco`] | `antlayer-aco` | the paper's [`AcoLayering`](aco::AcoLayering) colony with [`AcoParams`](aco::AcoParams) |
+//! | [`layering`] | `antlayer-layering` | the one [`LayeringAlgorithm`](layering::LayeringAlgorithm) trait (`layer`, plus the anytime `solve`), [`Layering`](layering::Layering), metrics, [`LongestPath`](layering::LongestPath), [`MinWidth`](layering::MinWidth), [`Promote`](layering::Promote), [`CoffmanGraham`](layering::CoffmanGraham), [`Exact`](layering::Exact) |
+//! | [`aco`] | `antlayer-aco` | the paper's [`AcoLayering`](aco::AcoLayering) colony with [`AcoParams`](aco::AcoParams), and the [`Portfolio`](aco::Portfolio) that races every algorithm |
 //! | [`sugiyama`] | `antlayer-sugiyama` | cycle removal, crossing minimization, coordinates, SVG/ASCII |
 //! | [`datasets`] | `antlayer-datasets` | the 1277-graph AT&T-like [`GraphSuite`](datasets::GraphSuite), report writers |
 //! | [`parallel`] | `antlayer-parallel` | deterministic [`par_map`](parallel::par_map), [`WorkerPool`](parallel::WorkerPool) |
@@ -36,6 +36,14 @@
 //!     let m = LayeringMetrics::compute(&dag, &layering, &WidthModel::unit());
 //!     println!("{:>10}: height {} width {}", algo.name(), m.height, m.width);
 //! }
+//!
+//! // The same trait serves the anytime contract: a deadline bounds the
+//! // search, and the answer reports its cost H + W and whether the clock
+//! // truncated it.
+//! let deadline = std::time::Instant::now() + std::time::Duration::from_millis(50);
+//! let s = aco.solve(&dag, &WidthModel::unit(), Some(deadline));
+//! assert!(s.layering.validate(&dag).is_ok());
+//! println!("cost {} (stopped early: {})", s.cost, s.stopped_early);
 //! ```
 
 #![warn(missing_docs)]
