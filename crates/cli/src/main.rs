@@ -535,8 +535,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
          send newline-delimited JSON, e.g. {{\"op\":\"ping\"}}",
         server.scheduler().threads()
     );
-    server.run();
-    Ok(())
+    server.run().map_err(|e| format!("serve: {e}"))
 }
 
 fn cmd_route(args: &[String]) -> Result<(), String> {
@@ -564,7 +563,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
         return Err("route: --shards must name at least one backend".into());
     }
     let base = RouterConfig::default();
-    let addr = flags.get("addr").unwrap_or("127.0.0.1:4700").to_string();
+    let addr = flags.get("addr").unwrap_or(&base.addr).to_string();
     let config = RouterConfig {
         http_addr: aux_addr_flag(&flags, "http", &addr),
         addr,
@@ -590,8 +589,7 @@ fn cmd_route(args: &[String]) -> Result<(), String> {
     eprintln!(
         "antlayer route: listening on {addr}{http_note}, hashing across {n_shards} shard(s): {shard_list}"
     );
-    router.run();
-    Ok(())
+    router.run().map_err(|e| format!("route: {e}"))
 }
 
 fn cmd_reshard(args: &[String]) -> Result<(), String> {

@@ -15,10 +15,14 @@
 //! would speak to a single server (`docs/PROTOCOL.md`), over either
 //! client-facing framing — newline-delimited TCP ([`RouterConfig::addr`])
 //! or HTTP/1.1 `POST /v2` ([`RouterConfig::http_addr`], `antlayer route
-//! --http PORT`). The router parses each request just enough to pick a
-//! routing key, forwards the original payload verbatim over its
-//! line-TCP upstream connections (one [`antlayer_client::Connection`]
-//! per shard per handler), and relays the shard's reply:
+//! --http PORT`). Both listeners sit behind the same
+//! [`FrontDoor`] a server uses — one accept loop, one connection cap
+//! ([`RouterConfig::max_connections`]), one sever-on-shutdown — so the
+//! router adds only the handler each admitted connection gets. That
+//! handler parses each request just enough to pick a routing key,
+//! forwards the original payload verbatim over its line-TCP upstream
+//! connections (one [`antlayer_client::Connection`] per shard per
+//! client connection), and relays the shard's reply:
 //!
 //! * `layout` routes by the request's canonical digest, so identical
 //!   requests always land on the same shard — fleet-wide hit rate
@@ -84,7 +88,7 @@
 //!     ..Default::default()
 //! })
 //! .unwrap();
-//! router.run(); // or .spawn() for a background handle
+//! router.run().unwrap(); // or .spawn() for a background handle
 //! ```
 //!
 //! Or from the CLI: `antlayer route --shards 127.0.0.1:4617,127.0.0.1:4618`.
@@ -102,11 +106,10 @@ use antlayer_service::protocol::{
 use antlayer_service::scheduler::LayoutRequest;
 use antlayer_service::router::{HashRing, ShardHealth};
 use antlayer_service::server::SLOW_LOG_CAPACITY;
-use antlayer_service::transport::{Handler, HttpTransport, LineTransport, Transport};
+use antlayer_service::transport::{FrontDoor, FrontDoorHandle, Handler};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::{BTreeMap, HashSet};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -347,56 +350,18 @@ impl RouterState {
     }
 }
 
-/// Live client connections, registered so shutdown can sever them.
-#[derive(Default)]
-struct ConnRegistry {
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    next_id: AtomicU64,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.streams.lock().remove(&id);
-    }
-
-    fn sever_all(&self) {
-        for (_, stream) in self.streams.lock().drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
-
-/// Front-end state shared by the accept loops and connection handlers.
-struct RouterShared {
-    state: Arc<RouterState>,
-    max_connections: usize,
-    shutdown: AtomicBool,
-    connections: AtomicUsize,
-    registry: ConnRegistry,
-}
-
 /// A bound, not-yet-running router.
 pub struct Router {
-    listener: TcpListener,
-    http_listener: Option<TcpListener>,
-    shared: Arc<RouterShared>,
+    door: FrontDoor,
+    state: Arc<RouterState>,
     probe_interval: Duration,
 }
 
 /// Handle to a router running on background threads; dropping it shuts
 /// the router (and its probe thread) down.
 pub struct RouterHandle {
-    addr: std::net::SocketAddr,
-    http_addr: Option<std::net::SocketAddr>,
-    shared: Arc<RouterShared>,
-    threads: Vec<JoinHandle<()>>,
+    door: FrontDoorHandle,
+    probe: Option<JoinHandle<()>>,
 }
 
 impl Router {
@@ -409,11 +374,11 @@ impl Router {
                 "router needs at least one --shards backend",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let http_listener = match &config.http_addr {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
+        let door = FrontDoor::bind(
+            &config.addr,
+            config.http_addr.as_deref(),
+            config.max_connections,
+        )?;
         let slots: Vec<Slot> = config
             .shards
             .iter()
@@ -518,29 +483,20 @@ impl Router {
             homes: ShardedCache::new(65_536, 8),
         });
         Ok(Router {
-            listener,
-            http_listener,
-            shared: Arc::new(RouterShared {
-                state,
-                max_connections: config.max_connections,
-                shutdown: AtomicBool::new(false),
-                connections: AtomicUsize::new(0),
-                registry: ConnRegistry::default(),
-            }),
+            door,
+            state,
             probe_interval: config.probe_interval,
         })
     }
 
     /// The actually-bound line-TCP address (resolves port 0).
     pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+        self.door.local_addr()
     }
 
     /// The actually-bound HTTP address, when an HTTP listener exists.
     pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
+        self.door.http_addr()
     }
 
     /// A snapshot of the consistent-hash ring in use (for tests and
@@ -548,60 +504,36 @@ impl Router {
     /// lands on while every shard is up). Owned, not borrowed: the live
     /// ring is swapped atomically by `shard_join`/`shard_drain`.
     pub fn ring(&self) -> HashRing {
-        self.shared.state.topology.snapshot().ring.clone()
+        self.state.topology.snapshot().ring.clone()
     }
 
-    /// Runs the router on the calling thread until shutdown: starts the
-    /// background reconnect probe (and the HTTP accept loop, if
-    /// configured), then serves the line-TCP accept loop.
-    pub fn run(self) {
-        // Without the probe, down shards would stay down forever; if the
-        // thread cannot even be spawned the router still serves, merely
-        // without automatic recovery.
-        let _probe = spawn_probe(self.shared.clone(), self.probe_interval);
-        let mut threads = Vec::new();
-        if let Some(http) = self.http_listener {
-            let shared = self.shared.clone();
-            if let Ok(t) = std::thread::Builder::new()
-                .name("antlayer-route-http".into())
-                .spawn(move || accept_loop(&http, &HttpTransport, &shared))
-            {
-                threads.push(t);
-            }
-        }
-        accept_loop(&self.listener, &LineTransport, &self.shared);
-        for t in threads {
-            let _ = t.join();
-        }
+    /// Serves until the process exits: [`spawn`](Router::spawn), then
+    /// block on the accept loops.
+    pub fn run(self) -> std::io::Result<()> {
+        let mut handle = self.spawn()?;
+        handle.door.wait();
+        Ok(())
     }
 
     /// Runs the router on background threads (accept loops + reconnect
     /// probe) and returns a handle.
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
-        let addr = self.local_addr()?;
-        let http_addr = self.http_addr();
-        let shared = self.shared.clone();
-        let mut threads = vec![spawn_probe(self.shared.clone(), self.probe_interval)?];
-        if let Some(http) = self.http_listener {
-            let http_shared = self.shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("antlayer-route-http".into())
-                    .spawn(move || accept_loop(&http, &HttpTransport, &http_shared))?,
-            );
-        }
-        let listener = self.listener;
-        let line_shared = self.shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("antlayer-route-accept".into())
-                .spawn(move || accept_loop(&listener, &LineTransport, &line_shared))?,
-        );
+        let shutdown = self.door.shutdown_flag();
+        let state = self.state.clone();
+        // Per-connection shard pool: one connection per shard this
+        // client's traffic has touched, so a request/reply pair is never
+        // interleaved with another client's. Grown lazily (slot index →
+        // connection) so joined shards get slots too.
+        let door = self
+            .door
+            .spawn("antlayer-route", move || RouterConnHandler {
+                state: state.clone(),
+                conns: Vec::new(),
+            })?;
+        let probe = spawn_probe(self.state, shutdown, self.probe_interval)?;
         Ok(RouterHandle {
-            addr,
-            http_addr,
-            shared,
-            threads,
+            door,
+            probe: Some(probe),
         })
     }
 }
@@ -609,12 +541,12 @@ impl Router {
 impl RouterHandle {
     /// The router's line-TCP address.
     pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+        self.door.addr()
     }
 
     /// The router's HTTP address, when an HTTP listener is serving.
     pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http_addr
+        self.door.http_addr()
     }
 
     /// Stops the accept and probe threads, severs live client
@@ -624,19 +556,11 @@ impl RouterHandle {
     }
 
     fn stop(&mut self) {
-        if self.threads.is_empty() {
-            return;
+        // Raises the flag the probe watches, too.
+        self.door.stop();
+        if let Some(probe) = self.probe.take() {
+            let _ = probe.join();
         }
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake the accept loops so they observe the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(http) = self.http_addr {
-            let _ = TcpStream::connect_timeout(&http, Duration::from_secs(1));
-        }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        self.shared.registry.sever_all();
     }
 }
 
@@ -649,15 +573,18 @@ impl Drop for RouterHandle {
 /// Starts the reconnect probe: every `interval`, each down shard gets a
 /// fresh connection and a `ping`; success returns it to rotation. The
 /// sleep is chopped into short slices so shutdown is prompt.
-fn spawn_probe(shared: Arc<RouterShared>, interval: Duration) -> std::io::Result<JoinHandle<()>> {
+fn spawn_probe(
+    state: Arc<RouterState>,
+    shutdown: Arc<AtomicBool>,
+    interval: Duration,
+) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name("antlayer-route-probe".into())
         .spawn(move || {
-            let state = &shared.state;
             let slice = Duration::from_millis(20).min(interval);
             let mut slept = Duration::ZERO;
             loop {
-                if shared.shutdown.load(Ordering::Acquire) {
+                if shutdown.load(Ordering::Acquire) {
                     return;
                 }
                 std::thread::sleep(slice);
@@ -689,57 +616,6 @@ fn spawn_probe(shared: Arc<RouterShared>, interval: Duration) -> std::io::Result
                 }
             }
         })
-}
-
-/// One accept loop over one listener/framing pair; mirrors the server's.
-fn accept_loop(
-    listener: &TcpListener,
-    transport: &'static dyn Transport,
-    shared: &Arc<RouterShared>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        let _ = stream.set_nodelay(true);
-        let active = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
-        if active > shared.max_connections {
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
-            transport.reject(
-                stream,
-                &protocol::encode_error(&format!(
-                    "overloaded: {active} connections (cap {})",
-                    shared.max_connections
-                )),
-            );
-            continue;
-        }
-        let shared = shared.clone();
-        // Register on the accept thread, not the handler: by the time
-        // shutdown has joined this loop, every accepted connection is in
-        // the registry, so sever_all cannot miss one that a handler
-        // thread had not registered yet.
-        let id = shared.registry.register(&stream);
-        std::thread::spawn(move || {
-            // Per-handler shard connection pool: one connection per shard
-            // this client's traffic has touched, so a request/reply pair
-            // is never interleaved with another client's. Grown lazily
-            // (slot index → connection) so joined shards get slots too.
-            let mut handler = RouterConnHandler {
-                state: shared.state.clone(),
-                conns: Vec::new(),
-            };
-            transport.serve(stream, &mut handler);
-            if let Some(id) = id {
-                shared.registry.deregister(id);
-            }
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
-        });
-    }
 }
 
 /// One client connection's handler: routes protocol payloads, serves
@@ -846,7 +722,7 @@ fn route_line(line: &str, state: &RouterState, conns: &mut Vec<Option<Connection
         let remote = served_by
             .and_then(|shard| extract_remote_span(&reply, &topo.slots[shard].health.addr));
         state.slow_log.record(TraceEntry {
-            id: correlation_id(&env.id),
+            id: env.correlation_id(),
             op,
             total_us,
             phases,
@@ -864,16 +740,6 @@ fn traceable<'a>(wire: std::borrow::Cow<'a, str>, env: &Envelope) -> std::borrow
         std::borrow::Cow::Owned(protocol::with_trace_flag(&wire))
     } else {
         wire
-    }
-}
-
-/// The envelope `id` as a slow-log correlation string (mirrors the
-/// shard side, so one fleet request logs under one key on both tiers).
-fn correlation_id(id: &Option<Json>) -> String {
-    match id {
-        Some(Json::Str(s)) => s.clone(),
-        Some(other) => other.encode(),
-        None => "-".into(),
     }
 }
 
@@ -1738,7 +1604,7 @@ mod tests {
             ..Default::default()
         })
         .unwrap();
-        let topo = router.shared.state.topology.snapshot();
+        let topo = router.state.topology.snapshot();
         assert_eq!(topo.epoch, 1);
         assert!(topo.slots.iter().all(|s| s.state == SlotState::Live));
         assert_eq!(topo.active().count(), 2);

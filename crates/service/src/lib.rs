@@ -15,7 +15,7 @@
 //! | durability | [`persist`] | append-only [`SegmentLog`]: checksummed records, replay on boot, snapshot compaction |
 //! | compute | [`scheduler`] | [`Scheduler`]: digest dedup, admission control, deadline-bounded fan-out over the worker pool |
 //! | protocol | [`protocol`] | the typed codec: v1/v2 envelopes, [`protocol::Request`]/[`protocol::Response`]/[`protocol::ErrorKind`] |
-//! | transport | [`transport`], [`server`] | framing ([`transport::Transport`]: line TCP + hand-rolled HTTP/1.1), [`Server`] + [`ServerHandle`] |
+//! | transport | [`transport`], [`server`] | framing ([`transport::Transport`]: line TCP + hand-rolled HTTP/1.1), the [`transport::FrontDoor`] (accept, connection cap, sever) server and router share, [`Server`] + [`ServerHandle`] |
 //! | sessions | [`session`], [`live`] | streaming edit sessions: [`SessionTable`] + [`OutboundQueue`] state, the epoll [`LiveReactor`] that pushes `session_update` frames |
 //! | topology | [`router`] | consistent-hash [`HashRing`] + shard health, shared with the `antlayer-router` crate |
 //!

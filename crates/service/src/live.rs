@@ -165,18 +165,8 @@ pub struct LiveReactor {
 }
 
 impl LiveReactor {
-    /// Wraps a bound listener in a reactor serving `scheduler`, with
-    /// default [`LiveTuning`].
+    /// Wraps a bound listener in a reactor serving `scheduler`.
     pub fn new(
-        listener: TcpListener,
-        scheduler: Arc<Scheduler>,
-        metrics: Arc<SessionMetrics>,
-    ) -> std::io::Result<LiveReactor> {
-        LiveReactor::with_tuning(listener, scheduler, metrics, LiveTuning::default())
-    }
-
-    /// [`LiveReactor::new`] with explicit tuning.
-    pub fn with_tuning(
         listener: TcpListener,
         scheduler: Arc<Scheduler>,
         metrics: Arc<SessionMetrics>,

@@ -604,6 +604,18 @@ impl Envelope {
         self.trace = true;
         self
     }
+
+    /// The `id` as a slow-log correlation string: the string itself, the
+    /// encoded JSON for any other value, `"-"` when the request carried
+    /// none. Server and router both log under it, so one fleet request
+    /// has one key on both tiers.
+    pub fn correlation_id(&self) -> String {
+        match &self.id {
+            Some(Json::Str(s)) => s.clone(),
+            Some(other) => other.encode(),
+            None => "-".into(),
+        }
+    }
 }
 
 /// A decoded client request.

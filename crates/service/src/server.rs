@@ -1,29 +1,28 @@
-//! The network front end: accepts connections and answers protocol
-//! requests through a pluggable [`Transport`] framing.
+//! The layout server: who answers the requests that arrive through
+//! the shared [`FrontDoor`].
 //!
 //! Two listeners can serve the same scheduler side by side: the
 //! line-delimited TCP listener ([`ServerConfig::addr`], the original
 //! wire) and an optional HTTP/1.1 listener ([`ServerConfig::http_addr`],
 //! `antlayer serve --http PORT`) speaking `POST /v2` — see
-//! [`crate::transport`]. Everything below the framing is shared: one
-//! connection cap, one [`Scheduler`], one cache.
-//!
-//! Connections are handled by one thread each (bounded by
-//! [`ServerConfig::max_connections`]; excess connections are answered
-//! with an `overloaded` error and closed). Requests on one connection
-//! are pipelined: the handler reads, submits to the shared
-//! [`Scheduler`], and blocks on the ticket — concurrency across
-//! connections comes from the scheduler's worker pool, which also gives
-//! digest-level dedup across clients for free.
+//! [`crate::transport`]. Both sit behind one [`FrontDoor`], which owns
+//! accept, the connection cap ([`ServerConfig::max_connections`]) and
+//! the sever-on-shutdown; every connection it admits is answered by the
+//! one [`ServiceCore`]. Requests on one connection are pipelined: the
+//! handler reads, submits to the shared [`Scheduler`], and blocks on
+//! the ticket — concurrency across connections comes from the
+//! scheduler's worker pool, which also gives digest-level dedup across
+//! clients for free. The optional live listener
+//! ([`ServerConfig::live_addr`]) runs on its own reactor instead.
 
+use crate::live::{LiveReactor, LiveStopper, LiveTuning};
 use crate::protocol::{self, ErrorKind, Json, Request, Response, WireError};
 use crate::scheduler::{Scheduler, SchedulerConfig, ServiceError, Source};
-use crate::transport::{Handler, HttpTransport, LineTransport, Transport};
+use crate::transport::{FrontDoor, FrontDoorHandle, Handler};
 use antlayer_obs::{Histogram, MetricValue, SlowLog, TraceEntry};
-use parking_lot::Mutex;
-use std::collections::{BTreeMap, HashMap};
-use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::BTreeMap;
+use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -32,36 +31,6 @@ use std::time::{Duration, Instant};
 /// log is a debugging aid (which requests hurt, and where their time
 /// went), not a metrics store — the histograms are.
 pub const SLOW_LOG_CAPACITY: usize = 32;
-
-/// Live connection streams, registered so shutdown can sever them. A
-/// handler removes itself when its client disconnects; shutdown calls
-/// `Shutdown::Both` on whatever is left, which makes every blocked
-/// read return and the handler threads exit promptly — a stopped
-/// server answers nothing, which is what fleet failover relies on.
-#[derive(Default)]
-struct ConnRegistry {
-    streams: Mutex<HashMap<u64, TcpStream>>,
-    next_id: AtomicU64,
-}
-
-impl ConnRegistry {
-    fn register(&self, stream: &TcpStream) -> Option<u64> {
-        let clone = stream.try_clone().ok()?;
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.streams.lock().insert(id, clone);
-        Some(id)
-    }
-
-    fn deregister(&self, id: u64) {
-        self.streams.lock().remove(&id);
-    }
-
-    fn sever_all(&self) {
-        for (_, stream) in self.streams.lock().drain() {
-            let _ = stream.shutdown(Shutdown::Both);
-        }
-    }
-}
 
 /// Server tuning knobs.
 #[derive(Clone, Debug)]
@@ -79,7 +48,7 @@ pub struct ServerConfig {
     pub live_addr: Option<String>,
     /// Tuning for the live tier (per-session outbound queue cap before
     /// slow-consumer eviction, per-connection kernel send-buffer cap).
-    pub live_tuning: crate::live::LiveTuning,
+    pub live_tuning: LiveTuning,
     /// Scheduler configuration (threads, cache, admission).
     pub scheduler: SchedulerConfig,
     /// Maximum concurrently served connections, across the line-TCP and
@@ -93,7 +62,7 @@ impl Default for ServerConfig {
             addr: "127.0.0.1:4617".into(),
             http_addr: None,
             live_addr: None,
-            live_tuning: crate::live::LiveTuning::default(),
+            live_tuning: LiveTuning::default(),
             scheduler: SchedulerConfig::default(),
             max_connections: 128,
         }
@@ -267,7 +236,7 @@ impl ServiceCore {
         self.request_us.record(total_us);
         if self.slow_log.would_keep(total_us) {
             self.slow_log.record(TraceEntry {
-                id: correlation_id(&env.id),
+                id: env.correlation_id(),
                 op,
                 total_us,
                 phases,
@@ -355,16 +324,6 @@ impl ServiceCore {
     }
 }
 
-/// The envelope `id` as a slow-log correlation string: the encoded JSON
-/// value for strings/numbers, `"-"` when the request carried none.
-fn correlation_id(id: &Option<Json>) -> String {
-    match id {
-        Some(Json::Str(s)) => s.clone(),
-        Some(other) => other.encode(),
-        None => "-".into(),
-    }
-}
-
 /// The `"trace"` member of a traced response: the same phase breakdown
 /// the slow log keeps, minus `encode` (which cannot measure itself).
 fn wire_trace_json(
@@ -390,16 +349,16 @@ fn wire_trace_json(
 /// The [`Handler`] connection handlers use: protocol payloads go to
 /// [`ServiceCore::respond`], `GET /metrics` renders the registry.
 struct CoreHandler {
-    shared: Arc<ServerShared>,
+    core: Arc<ServiceCore>,
 }
 
 impl Handler for CoreHandler {
     fn respond(&mut self, line: &str) -> String {
-        self.shared.core.respond(line)
+        self.core.respond(line)
     }
 
     fn metrics(&mut self) -> Option<String> {
-        Some(self.shared.core.metrics_text())
+        Some(self.core.metrics_text())
     }
 }
 
@@ -412,31 +371,19 @@ fn error_response(e: &ServiceError) -> Response {
 
 /// A bound, not-yet-running server.
 pub struct Server {
-    listener: TcpListener,
-    http_listener: Option<TcpListener>,
+    door: FrontDoor,
     live_listener: Option<TcpListener>,
-    live_tuning: crate::live::LiveTuning,
-    shared: Arc<ServerShared>,
-}
-
-/// State shared by both accept loops and every connection handler.
-struct ServerShared {
-    core: ServiceCore,
-    max_connections: usize,
-    shutdown: AtomicBool,
-    connections: AtomicUsize,
-    registry: ConnRegistry,
+    live_tuning: LiveTuning,
+    core: Arc<ServiceCore>,
 }
 
 /// Handle to a server running on background threads; dropping it shuts
 /// the server down.
 pub struct ServerHandle {
-    addr: std::net::SocketAddr,
-    http_addr: Option<std::net::SocketAddr>,
-    live_addr: Option<std::net::SocketAddr>,
-    live_stop: Option<crate::live::LiveStopper>,
-    shared: Arc<ServerShared>,
-    threads: Vec<JoinHandle<()>>,
+    door: FrontDoorHandle,
+    live_addr: Option<SocketAddr>,
+    live: Option<(LiveStopper, JoinHandle<()>)>,
+    core: Arc<ServiceCore>,
 }
 
 impl Server {
@@ -459,44 +406,35 @@ impl Server {
     /// handle.shutdown();
     /// ```
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let http_listener = match &config.http_addr {
-            Some(addr) => Some(TcpListener::bind(addr)?),
-            None => None,
-        };
+        let door = FrontDoor::bind(
+            &config.addr,
+            config.http_addr.as_deref(),
+            config.max_connections,
+        )?;
         let live_listener = match &config.live_addr {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
         Ok(Server {
-            listener,
-            http_listener,
+            door,
             live_listener,
-            live_tuning: config.live_tuning.clone(),
-            shared: Arc::new(ServerShared {
-                core: ServiceCore::new(Arc::new(Scheduler::new(config.scheduler.clone()))),
-                max_connections: config.max_connections,
-                shutdown: AtomicBool::new(false),
-                connections: AtomicUsize::new(0),
-                registry: ConnRegistry::default(),
-            }),
+            live_tuning: config.live_tuning,
+            core: Arc::new(ServiceCore::new(Arc::new(Scheduler::new(config.scheduler)))),
         })
     }
 
     /// The actually-bound line-TCP address (resolves port 0).
-    pub fn local_addr(&self) -> std::io::Result<std::net::SocketAddr> {
-        self.listener.local_addr()
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.door.local_addr()
     }
 
     /// The actually-bound HTTP address, when an HTTP listener exists.
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.door.http_addr()
     }
 
     /// The actually-bound live (reactor) address, when one exists.
-    pub fn live_addr(&self) -> Option<std::net::SocketAddr> {
+    pub fn live_addr(&self) -> Option<SocketAddr> {
         self.live_listener
             .as_ref()
             .and_then(|l| l.local_addr().ok())
@@ -504,111 +442,69 @@ impl Server {
 
     /// The shared scheduler (for in-process inspection).
     pub fn scheduler(&self) -> &Arc<Scheduler> {
-        self.shared.core.scheduler()
+        self.core.scheduler()
     }
 
-    /// Runs the accept loop(s) on the calling thread until shutdown; the
-    /// HTTP and live listeners (if any) get background threads.
-    pub fn run(self) {
-        let mut threads = Vec::new();
-        if let Some(http) = self.http_listener {
-            let shared = self.shared.clone();
-            if let Ok(t) = std::thread::Builder::new()
-                .name("antlayer-serve-http".into())
-                .spawn(move || accept_loop(&http, &HttpTransport, &shared))
-            {
-                threads.push(t);
-            }
-        }
-        if let Some(live) = self.live_listener {
-            if let Ok((_stopper, t)) = spawn_live(live, &self.shared, self.live_tuning.clone()) {
-                threads.push(t);
-            }
-        }
-        accept_loop(&self.listener, &LineTransport, &self.shared);
-        for t in threads {
-            let _ = t.join();
-        }
+    /// Serves until the process exits: [`spawn`](Server::spawn), then
+    /// block on the accept loops.
+    pub fn run(self) -> std::io::Result<()> {
+        let mut handle = self.spawn()?;
+        handle.door.wait();
+        Ok(())
     }
 
     /// Runs the server on background threads and returns a handle.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let addr = self.local_addr()?;
-        let http_addr = self.http_addr();
         let live_addr = self.live_addr();
-        let shared = self.shared.clone();
-        let mut threads = Vec::new();
-        if let Some(http) = self.http_listener {
-            let shared = self.shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("antlayer-serve-http".into())
-                    .spawn(move || accept_loop(&http, &HttpTransport, &shared))?,
-            );
-        }
-        let mut live_stop = None;
-        if let Some(live) = self.live_listener {
-            let (stopper, t) = spawn_live(live, &self.shared, self.live_tuning.clone())?;
-            live_stop = Some(stopper);
-            threads.push(t);
-        }
-        let listener = self.listener;
-        let line_shared = self.shared.clone();
-        threads.push(
-            std::thread::Builder::new()
-                .name("antlayer-serve-accept".into())
-                .spawn(move || accept_loop(&listener, &LineTransport, &line_shared))?,
-        );
+        let core = self.core.clone();
+        let door = self
+            .door
+            .spawn("antlayer-serve", move || CoreHandler { core: core.clone() })?;
+        let live = match self.live_listener {
+            Some(listener) => {
+                let reactor = LiveReactor::new(
+                    listener,
+                    self.core.scheduler().clone(),
+                    self.core.session_metrics().clone(),
+                    self.live_tuning,
+                )?;
+                let stopper = reactor.stopper();
+                let thread = std::thread::Builder::new()
+                    .name("antlayer-serve-live".into())
+                    .spawn(move || reactor.run())?;
+                Some((stopper, thread))
+            }
+            None => None,
+        };
         Ok(ServerHandle {
-            addr,
-            http_addr,
+            door,
             live_addr,
-            live_stop,
-            shared,
-            threads,
+            live,
+            core: self.core,
         })
     }
 }
 
-/// Builds the live reactor over `listener` and gives it a thread.
-fn spawn_live(
-    listener: TcpListener,
-    shared: &Arc<ServerShared>,
-    tuning: crate::live::LiveTuning,
-) -> std::io::Result<(crate::live::LiveStopper, JoinHandle<()>)> {
-    let reactor = crate::live::LiveReactor::with_tuning(
-        listener,
-        shared.core.scheduler().clone(),
-        shared.core.session_metrics().clone(),
-        tuning,
-    )?;
-    let stopper = reactor.stopper();
-    let thread = std::thread::Builder::new()
-        .name("antlayer-serve-live".into())
-        .spawn(move || reactor.run())?;
-    Ok((stopper, thread))
-}
-
 impl ServerHandle {
     /// The server's line-TCP address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        self.addr
+    pub fn addr(&self) -> SocketAddr {
+        self.door.addr()
     }
 
     /// The server's HTTP address, when an HTTP listener is serving.
-    pub fn http_addr(&self) -> Option<std::net::SocketAddr> {
-        self.http_addr
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.door.http_addr()
     }
 
     /// The server's live (reactor) address, when one is serving.
-    pub fn live_addr(&self) -> Option<std::net::SocketAddr> {
+    pub fn live_addr(&self) -> Option<SocketAddr> {
         self.live_addr
     }
 
     /// The shared scheduler (for in-process inspection: fault harnesses
     /// trigger segment-log compaction and read restore counters here).
     pub fn scheduler(&self) -> &Arc<Scheduler> {
-        self.shared.core.scheduler()
+        self.core.scheduler()
     }
 
     /// Makes every request on this server sleep `delay` before being
@@ -616,94 +512,31 @@ impl ServerHandle {
     /// opposed to a killed one. `Duration::ZERO` restores normal
     /// service.
     pub fn set_respond_delay(&self, delay: Duration) {
-        self.shared.core.set_respond_delay(delay);
+        self.core.set_respond_delay(delay);
     }
 
-    /// Stops the accept loops, severs every live connection, and joins
-    /// the server threads. After this returns, the process answers
-    /// nothing on its ports — clients (and routers) observe EOF/reset,
-    /// exactly like a crashed shard, which is what failover tests and
-    /// fleet health checks rely on.
+    /// Stops the accept loops, severs every live connection, stops the
+    /// live reactor, and joins the server threads. After this returns,
+    /// the process answers nothing on its ports — clients (and routers)
+    /// observe EOF/reset, exactly like a crashed shard, which is what
+    /// failover tests and fleet health checks rely on.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        if self.threads.is_empty() {
-            return;
-        }
-        self.shared.shutdown.store(true, Ordering::Release);
-        // Wake each accept loop so it observes the flag.
-        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-        if let Some(http) = self.http_addr {
-            let _ = TcpStream::connect_timeout(&http, Duration::from_secs(1));
-        }
+        self.door.stop();
         // The reactor has its own waker; its stopper makes run() return.
-        if let Some(stopper) = self.live_stop.take() {
+        if let Some((stopper, thread)) = self.live.take() {
             stopper.stop();
+            let _ = thread.join();
         }
-        for t in self.threads.drain(..) {
-            let _ = t.join();
-        }
-        // Sever after the accept loops are gone so no new connection can
-        // slip in post-drain.
-        self.shared.registry.sever_all();
     }
 }
 
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// One accept loop: admission (connection cap), registration (so
-/// shutdown can sever), and a handler thread per connection serving it
-/// through `transport`.
-fn accept_loop(
-    listener: &TcpListener,
-    transport: &'static dyn Transport,
-    shared: &Arc<ServerShared>,
-) {
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Acquire) {
-            break;
-        }
-        let stream = match stream {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        // One small request, one small response: Nagle + delayed ACK
-        // would add ~40 ms to every exchange.
-        let _ = stream.set_nodelay(true);
-        let active = shared.connections.fetch_add(1, Ordering::AcqRel) + 1;
-        if active > shared.max_connections {
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
-            transport.reject(
-                stream,
-                &protocol::encode_error(&format!(
-                    "overloaded: {active} connections (cap {})",
-                    shared.max_connections
-                )),
-            );
-            continue;
-        }
-        let shared = shared.clone();
-        // Register on the accept thread, not the handler: by the time
-        // shutdown has joined this loop, every accepted connection is in
-        // the registry, so sever_all cannot miss one that a handler
-        // thread had not registered yet.
-        let id = shared.registry.register(&stream);
-        std::thread::spawn(move || {
-            let mut handler = CoreHandler {
-                shared: shared.clone(),
-            };
-            transport.serve(stream, &mut handler);
-            if let Some(id) = id {
-                shared.registry.deregister(id);
-            }
-            shared.connections.fetch_sub(1, Ordering::AcqRel);
-        });
     }
 }
 
@@ -941,7 +774,7 @@ mod tests {
         .unwrap();
         let handle = server.spawn().unwrap();
         let addr = handle.http_addr().unwrap();
-        let mut stream = TcpStream::connect(addr).unwrap();
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
         stream
             .write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\nConnection: close\r\n\r\n")
             .unwrap();

@@ -17,12 +17,24 @@
 //!   subset described here, which is what curl and standard HTTP
 //!   clients emit for a JSON POST.
 //!
-//! Both the `antlayer serve` front end and the `antlayer-router` front
-//! serve connections through this trait, so adding a framing never
-//! touches the scheduler, cache, or routing layers.
+//! Adding a framing never touches the scheduler, cache, or routing
+//! layers.
+//!
+//! The [`FrontDoor`] owns everything between `accept` and a framing:
+//! it binds the line listener plus an optional HTTP listener, caps the
+//! connections served at once across both, gives each connection a
+//! thread and a fresh [`Handler`], and on stop severs whatever is still
+//! open. `antlayer serve` and `antlayer route` differ only in the
+//! handler they plug in.
 
+use parking_lot::Mutex;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Longest accepted request (line or HTTP body). Generous — a
 /// million-node graph with 1.5M edges encodes to ~25 MB — but bounded,
@@ -68,9 +80,6 @@ impl<F: FnMut(&str) -> String> Handler for F {
 /// One connection-serving strategy: reads requests off the stream, calls
 /// the handler once per request payload, writes the replies back.
 pub trait Transport: Send + Sync + 'static {
-    /// Framing name for logs (`"tcp"` / `"http"`).
-    fn name(&self) -> &'static str;
-
     /// Serves one accepted connection until EOF, error, or (HTTP)
     /// `Connection: close`. [`Handler::respond`] maps one request
     /// payload to one response payload; transport-level failures
@@ -87,10 +96,6 @@ pub trait Transport: Send + Sync + 'static {
 pub struct LineTransport;
 
 impl Transport for LineTransport {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
     fn serve(&self, stream: TcpStream, handler: &mut dyn Handler) {
         let mut reader = match stream.try_clone() {
             Ok(s) => BufReader::new(s),
@@ -161,10 +166,6 @@ enum HeadError {
 pub struct HttpTransport;
 
 impl Transport for HttpTransport {
-    fn name(&self) -> &'static str {
-        "http"
-    }
-
     fn serve(&self, stream: TcpStream, handler: &mut dyn Handler) {
         let mut reader = match stream.try_clone() {
             Ok(s) => BufReader::new(s),
@@ -385,6 +386,238 @@ fn write_http_typed(
     writer.flush()
 }
 
+/// Live connection streams, registered so shutdown can sever them. A
+/// handler removes itself when its client disconnects; shutdown calls
+/// `Shutdown::Both` on whatever is left, which makes every blocked
+/// read return and the handler threads exit promptly — a stopped
+/// server or router answers nothing, which is what fleet failover
+/// relies on.
+#[derive(Default)]
+struct ConnRegistry {
+    streams: Mutex<HashMap<u64, TcpStream>>,
+    next_id: AtomicU64,
+}
+
+impl ConnRegistry {
+    fn register(&self, stream: &TcpStream) -> Option<u64> {
+        let clone = stream.try_clone().ok()?;
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.streams.lock().insert(id, clone);
+        Some(id)
+    }
+
+    fn deregister(&self, id: u64) {
+        self.streams.lock().remove(&id);
+    }
+
+    fn sever_all(&self) {
+        for (_, stream) in self.streams.lock().drain() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+    }
+}
+
+/// State shared by a front door's accept loops and connection threads.
+struct Gate {
+    max_connections: usize,
+    shutdown: Arc<AtomicBool>,
+    connections: AtomicUsize,
+    registry: ConnRegistry,
+}
+
+/// A bound, not-yet-serving connection front door: a line-TCP listener
+/// plus an optional HTTP listener under one connection cap.
+///
+/// [`spawn`](FrontDoor::spawn) serves every accepted connection on a
+/// thread of its own through a fresh [`Handler`]. A connection beyond
+/// the cap is answered with an `overloaded` error (a `503` on HTTP) and
+/// closed.
+pub struct FrontDoor {
+    line: TcpListener,
+    http: Option<TcpListener>,
+    gate: Arc<Gate>,
+}
+
+impl FrontDoor {
+    /// Binds `addr` (line TCP) and, when given, `http_addr`; at most
+    /// `max_connections` connections are served at once across both.
+    pub fn bind(
+        addr: &str,
+        http_addr: Option<&str>,
+        max_connections: usize,
+    ) -> std::io::Result<FrontDoor> {
+        let line = TcpListener::bind(addr)?;
+        let http = match http_addr {
+            Some(addr) => Some(TcpListener::bind(addr)?),
+            None => None,
+        };
+        Ok(FrontDoor {
+            line,
+            http,
+            gate: Arc::new(Gate {
+                max_connections,
+                shutdown: Arc::new(AtomicBool::new(false)),
+                connections: AtomicUsize::new(0),
+                registry: ConnRegistry::default(),
+            }),
+        })
+    }
+
+    /// The actually-bound line-TCP address (resolves port 0).
+    pub fn local_addr(&self) -> std::io::Result<SocketAddr> {
+        self.line.local_addr()
+    }
+
+    /// The actually-bound HTTP address, when an HTTP listener exists.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.http.as_ref().and_then(|l| l.local_addr().ok())
+    }
+
+    /// The flag [`FrontDoorHandle::stop`] raises, for threads that must
+    /// stop on the same shutdown (the router's probe).
+    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
+        self.gate.shutdown.clone()
+    }
+
+    /// Starts one accept thread per listener (`{name}-http`, then
+    /// `{name}-accept`). Each admitted connection gets its handler from
+    /// `new_handler`.
+    pub fn spawn<H, F>(self, name: &str, new_handler: F) -> std::io::Result<FrontDoorHandle>
+    where
+        H: Handler + Send + 'static,
+        F: Fn() -> H + Send + Sync + 'static,
+    {
+        // The handle exists before any thread does: if a later spawn
+        // fails, dropping it stops the loops already running.
+        let mut handle = FrontDoorHandle {
+            addr: self.local_addr()?,
+            http_addr: self.http_addr(),
+            gate: self.gate.clone(),
+            threads: Vec::new(),
+        };
+        let new_handler = Arc::new(new_handler);
+        let http = self
+            .http
+            .map(|l| (l, &HttpTransport as &'static dyn Transport, "http"));
+        let line = (
+            self.line,
+            &LineTransport as &'static dyn Transport,
+            "accept",
+        );
+        for (listener, transport, role) in http.into_iter().chain([line]) {
+            let gate = self.gate.clone();
+            let new_handler = new_handler.clone();
+            handle.threads.push(
+                std::thread::Builder::new()
+                    .name(format!("{name}-{role}"))
+                    .spawn(move || accept_loop(&listener, transport, &gate, &*new_handler))?,
+            );
+        }
+        Ok(handle)
+    }
+}
+
+/// One accept loop: admission (connection cap), registration (so
+/// shutdown can sever), and a handler thread per connection serving it
+/// through `transport`.
+fn accept_loop<H: Handler + Send + 'static>(
+    listener: &TcpListener,
+    transport: &'static dyn Transport,
+    gate: &Arc<Gate>,
+    new_handler: &dyn Fn() -> H,
+) {
+    for stream in listener.incoming() {
+        if gate.shutdown.load(Ordering::Acquire) {
+            break;
+        }
+        let stream = match stream {
+            Ok(s) => s,
+            Err(_) => continue,
+        };
+        // One small request, one small response: Nagle + delayed ACK
+        // would add ~40 ms to every exchange.
+        let _ = stream.set_nodelay(true);
+        let active = gate.connections.fetch_add(1, Ordering::AcqRel) + 1;
+        if active > gate.max_connections {
+            gate.connections.fetch_sub(1, Ordering::AcqRel);
+            transport.reject(
+                stream,
+                &crate::protocol::encode_error(&format!(
+                    "overloaded: {active} connections (cap {})",
+                    gate.max_connections
+                )),
+            );
+            continue;
+        }
+        // Register on the accept thread, not the handler: by the time
+        // shutdown has joined this loop, every accepted connection is in
+        // the registry, so sever_all cannot miss one that a handler
+        // thread had not registered yet.
+        let id = gate.registry.register(&stream);
+        let mut handler = new_handler();
+        let gate = gate.clone();
+        std::thread::spawn(move || {
+            transport.serve(stream, &mut handler);
+            if let Some(id) = id {
+                gate.registry.deregister(id);
+            }
+            gate.connections.fetch_sub(1, Ordering::AcqRel);
+        });
+    }
+}
+
+/// A front door serving on background threads; dropping it stops it.
+pub struct FrontDoorHandle {
+    addr: SocketAddr,
+    http_addr: Option<SocketAddr>,
+    gate: Arc<Gate>,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl FrontDoorHandle {
+    /// The line-TCP address.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The HTTP address, when an HTTP listener is serving.
+    pub fn http_addr(&self) -> Option<SocketAddr> {
+        self.http_addr
+    }
+
+    /// Blocks the calling thread for as long as the accept loops run.
+    pub fn wait(&mut self) {
+        for t in self.threads.drain(..) {
+            let _ = t.join();
+        }
+    }
+
+    /// Stops the accept loops, then severs every live connection. After
+    /// this returns, nothing answers on the front door's ports: clients
+    /// observe EOF or a reset, exactly as from a crashed process, which
+    /// is what failover tests and fleet health checks rely on.
+    pub fn stop(&mut self) {
+        if self.gate.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Wake each accept loop so it observes the flag.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
+        if let Some(http) = self.http_addr {
+            let _ = TcpStream::connect_timeout(&http, Duration::from_secs(1));
+        }
+        self.wait();
+        // Sever after the accept loops are gone so no new connection can
+        // slip in post-drain.
+        self.gate.registry.sever_all();
+    }
+}
+
+impl Drop for FrontDoorHandle {
+    fn drop(&mut self) {
+        self.stop();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,5 +660,129 @@ mod tests {
         assert!(head.starts_with("HTTP/1.1 200 OK"));
         assert!(head.contains("Content-Length: 12"));
         assert_eq!(body, "{\"ok\":true}\n");
+    }
+
+    /// A front door that echoes every request, capped at one connection.
+    fn echo_door() -> FrontDoorHandle {
+        FrontDoor::bind("127.0.0.1:0", Some("127.0.0.1:0"), 1)
+            .unwrap()
+            .spawn("test-door", || |line: &str| line.to_string())
+            .unwrap()
+    }
+
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
+
+    /// A line client whose first request has been answered, so the
+    /// front door has admitted and counted it.
+    fn held_line(door: &FrontDoorHandle) -> BufReader<TcpStream> {
+        let mut client = BufReader::new(connect(door.addr()));
+        client.get_mut().write_all(b"hello\n").unwrap();
+        let mut line = String::new();
+        client.read_line(&mut line).unwrap();
+        assert_eq!(line, "hello\n");
+        client
+    }
+
+    /// The same for an HTTP keep-alive client.
+    fn held_http(door: &FrontDoorHandle) -> TcpStream {
+        let mut client = connect(door.http_addr().unwrap());
+        client
+            .write_all(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+            .unwrap();
+        let expected = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                        Content-Length: 14\r\n\r\n{\"op\":\"ping\"}\n";
+        let mut reply = vec![0; expected.len()];
+        client.read_exact(&mut reply).unwrap();
+        assert_eq!(String::from_utf8(reply).unwrap(), expected);
+        client
+    }
+
+    /// The rejection a second connection gets while one is held. It is
+    /// written before any request is read, so it has the v1 shape: the
+    /// message prefix, not a `kind` member, names the kind.
+    fn overloaded() -> &'static str {
+        let kind = crate::protocol::ErrorKind::classify("overloaded: 2 connections (cap 1)");
+        assert!(matches!(kind, crate::protocol::ErrorKind::Overloaded));
+        r#"{"error":"overloaded: 2 connections (cap 1)","ok":false}"#
+    }
+
+    /// Reads a line connection's one reply line, then expects EOF.
+    fn rejected_line(addr: SocketAddr) -> String {
+        let mut client = BufReader::new(connect(addr));
+        let mut line = String::new();
+        client.read_line(&mut line).unwrap();
+        let mut rest = String::new();
+        assert_eq!(client.read_line(&mut rest).unwrap(), 0, "EOF after {line}");
+        line.trim_end().to_string()
+    }
+
+    #[test]
+    fn line_connection_over_the_cap_reads_overloaded_then_eof() {
+        let door = echo_door();
+        let _held = held_line(&door);
+        assert_eq!(rejected_line(door.addr()), overloaded());
+    }
+
+    #[test]
+    fn http_connection_over_the_cap_gets_503_with_the_same_body() {
+        let door = echo_door();
+        let _held = held_line(&door);
+        let mut reply = String::new();
+        connect(door.http_addr().unwrap())
+            .read_to_string(&mut reply)
+            .unwrap();
+        assert!(
+            reply.starts_with("HTTP/1.1 503 Service Unavailable\r\n"),
+            "{reply}"
+        );
+        let (_, body) = reply.split_once("\r\n\r\n").unwrap();
+        assert_eq!(body.trim_end(), overloaded());
+    }
+
+    #[test]
+    fn cap_is_one_count_across_both_listeners() {
+        // Held on HTTP, rejected on line TCP: the reverse direction is
+        // the 503 test above.
+        let door = echo_door();
+        let _held = held_http(&door);
+        assert_eq!(rejected_line(door.addr()), overloaded());
+    }
+
+    #[test]
+    fn closed_connection_frees_its_slot() {
+        let door = echo_door();
+        drop(held_line(&door));
+        // The count drops on the handler thread after it sees EOF, so
+        // a new connection may still be rejected for a moment.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let mut client = BufReader::new(connect(door.addr()));
+            let _ = client.get_mut().write_all(b"again\n");
+            let mut line = String::new();
+            let _ = client.read_line(&mut line);
+            if line == "again\n" {
+                break;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the freed slot was never reused; last reply {line:?}"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
+    }
+
+    #[test]
+    fn stop_severs_open_connections() {
+        let mut door = echo_door();
+        let mut held = held_line(&door);
+        door.stop();
+        let mut line = String::new();
+        assert_eq!(held.read_line(&mut line).unwrap(), 0, "read {line:?}");
     }
 }
