@@ -23,12 +23,15 @@ use antlayer_datasets::Table;
 ///    Gate: every reply is served, **none** is recomputed — the rehashed
 ///    requests land on replicas that already hold the entries.
 /// 4. **faultplan** — two edit sessions replay 36 steps against the
-///    3-shard fleet while a seeded [`FaultPlan`] kills, restarts, and
+///    3-shard fleet while a seeded
+///    [`FaultPlan`](antlayer_bench::faultplan::FaultPlan) kills, restarts, and
 ///    compacts shards between steps. Gates: the same seed encodes the
 ///    byte-identical schedule twice, and zero requests are dropped.
 pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     use antlayer_bench::faultplan::{FaultFleet, FaultPlan};
-    use antlayer_bench::loadclient::{base_graph, layout_line, EditSession, RequestProfile, Tallies};
+    use antlayer_bench::loadclient::{
+        base_graph, layout_line, EditSession, RequestProfile, Tallies,
+    };
     use antlayer_client::{Client, Connection, Transport};
     use antlayer_graph::DiGraph;
     use antlayer_router::{Router, RouterConfig};
@@ -65,11 +68,8 @@ pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     // ---- Phase 1: kill/restart survives on the segment log ----------
     let mut fleet = FaultFleet::boot(1, 2);
     {
-        let mut client = Client::connect_with(
-            fleet.addr(0),
-            profile.client_config(Transport::Tcp),
-        )
-        .expect("connect warmer");
+        let mut client = Client::connect_with(fleet.addr(0), profile.client_config(Transport::Tcp))
+            .expect("connect warmer");
         for (i, (seed, graph)) in graphs.iter().enumerate() {
             client
                 .layout(graph, &profile.options(*seed))
@@ -83,10 +83,7 @@ pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     }
     fleet.kill(0);
     fleet.restart(0);
-    let restored = fleet
-        .scheduler(0)
-        .map(|s| s.restored())
-        .unwrap_or(0);
+    let restored = fleet.scheduler(0).map(|s| s.restored()).unwrap_or(0);
     let (mut from_disk, mut recomputed) = (0u64, 0u64);
     {
         let mut conn = connect(fleet.addr(0));
@@ -137,8 +134,7 @@ pub(crate) fn durability(cfg: &Config) -> Result<(), String> {
     };
     router.shutdown();
     fleet.shutdown();
-    let parity_ok =
-        parity_good == DISTINCT * PASSES && (hit_rate - baseline).abs() <= 0.02;
+    let parity_ok = parity_good == DISTINCT * PASSES && (hit_rate - baseline).abs() <= 0.02;
     check(
         "replicated fleet hit rate within 0.02 of BENCH_3's router_2 topology",
         parity_ok,

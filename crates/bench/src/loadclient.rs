@@ -12,8 +12,7 @@
 //! users is itself under test.
 
 use antlayer_client::{
-    Client, ClientConfig, ClientError, Json, LayoutOptions, LiveConn, LiveEvent, Session,
-    Transport,
+    Client, ClientConfig, ClientError, Json, LayoutOptions, LiveConn, LiveEvent, Session, Transport,
 };
 use antlayer_graph::{generate, DiGraph, GraphDelta, NodeId};
 use rand::rngs::StdRng;
@@ -405,10 +404,11 @@ impl AddOnlyEdits {
         // Dense endgame: scan for the first absent forward pair.
         for a in 0..self.n {
             for b in 0..self.n {
-                if a != b && self.pos[a as usize] < self.pos[b as usize] {
-                    if self.present.insert((a, b)) {
-                        return Some((a, b));
-                    }
+                if a != b
+                    && self.pos[a as usize] < self.pos[b as usize]
+                    && self.present.insert((a, b))
+                {
+                    return Some((a, b));
                 }
             }
         }
@@ -446,7 +446,11 @@ pub struct LiveEditSession {
 impl LiveEditSession {
     /// Connects to a live listener and opens one session whose base
     /// graph and edit stream derive from `seed`.
-    pub fn open(addr: &str, profile: &RequestProfile, seed: u64) -> Result<LiveEditSession, String> {
+    pub fn open(
+        addr: &str,
+        profile: &RequestProfile,
+        seed: u64,
+    ) -> Result<LiveEditSession, String> {
         let mut conn = LiveConn::connect(addr).map_err(|e| format!("connect live: {e}"))?;
         let graph = base_graph(profile, seed);
         let id = Json::Num(seed as f64);
@@ -467,7 +471,10 @@ impl LiveEditSession {
 
     /// Streams one add-only edit and blocks for its push.
     pub fn step(&mut self) -> Result<LivePush, String> {
-        let edge = self.edits.next_edge().ok_or("edit stream saturated the DAG")?;
+        let edge = self
+            .edits
+            .next_edge()
+            .ok_or("edit stream saturated the DAG")?;
         let id = self.session.id().clone();
         let t0 = Instant::now();
         self.conn
@@ -592,7 +599,8 @@ impl IdleSessions {
                     scope.spawn(move || {
                         let mut acked = 0usize;
                         for id in &ids {
-                            conn.close(id).map_err(|e| format!("idle session_close: {e}"))?;
+                            conn.close(id)
+                                .map_err(|e| format!("idle session_close: {e}"))?;
                             acked += 1;
                         }
                         Ok(acked)

@@ -7,8 +7,8 @@
 //! owning session's id. Because updates are *pushed* (not answers to
 //! reads), a caller waiting for one specific session's frame may
 //! receive another session's first; [`LiveConn`] buffers those and
-//! hands them out in arrival order from [`next_event`]
-//! (LiveConn::next_event).
+//! hands them out in arrival order from
+//! [`next_event`](LiveConn::next_event).
 //!
 //! [`Session`] is the client-side mirror of the server's per-session
 //! state: it holds the layer lists, applies the changed-layer diffs
@@ -19,9 +19,7 @@
 
 use crate::{ClientError, Connection, LayoutOptions, Transport};
 use antlayer_graph::DiGraph;
-use antlayer_service::protocol::{
-    self, Json, LayoutReply, Response, SessionUpdate, WireError,
-};
+use antlayer_service::protocol::{self, Json, LayoutReply, Response, SessionUpdate, WireError};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Duration;
 
@@ -164,7 +162,9 @@ impl LiveConn {
         &mut self,
         timeout: Option<Duration>,
     ) -> Result<Option<(Json, Response)>, ClientError> {
-        self.conn.set_read_timeout(timeout).map_err(ClientError::Io)?;
+        self.conn
+            .set_read_timeout(timeout)
+            .map_err(ClientError::Io)?;
         let line = match self.conn.recv() {
             Ok(line) => line,
             Err(e)
@@ -355,7 +355,9 @@ mod tests {
     fn malformed_updates_are_rejected() {
         let mut s = Session::new(Json::Num(1.0), 0, &base_reply());
         // A changed index above the new height.
-        let err = s.apply_update(&update(1, 2, vec![(5, vec![9])])).unwrap_err();
+        let err = s
+            .apply_update(&update(1, 2, vec![(5, vec![9])]))
+            .unwrap_err();
         assert!(err.contains("above height"), "{err}");
         // Growth without membership for the new layer leaves it empty.
         let err = s.apply_update(&update(1, 4, vec![])).unwrap_err();

@@ -1,8 +1,9 @@
 //! The ant colony (paper §V, Algorithms 3 and 4).
 //!
 //! * **Initialisation** (Alg. 3): layer the DAG with LPL, stretch the
-//!   layering to `n` layers, compute layer spans and widths, fill the
-//!   pheromone matrix with `τ₀`.
+//!   layering to `n` layers, compute layer spans and widths, and start
+//!   every pheromone trail at `τ₀` (the sparse [`Trails`] store holds
+//!   that as one shared floor, so nothing is filled).
 //! * **Layering phase** (Alg. 4): for each of `n_tours` tours, every ant
 //!   performs a walk starting from the tour's base state. At tour end the
 //!   pheromone evaporates by `ρ`, the tour-best ant deposits pheromone on
@@ -23,14 +24,16 @@
 //! [`WalkScratch`] per worker thread) and the tour re-seeds the slots with
 //! [`SearchState::copy_from`] instead of cloning. Each tour still pays
 //! `O(n_ants)` bookkeeping allocations (the seed/slot pairing and the
-//! parallel map's result cells) — small and independent of graph size.
+//! parallel map's result cells), plus the amortised growth of the trail
+//! rows that receive deposits. Evaporation and clamping touch only the
+//! stored trail couplings, not all `V × H`.
 //! Deadlines are checked *between walks*, not just between tours, so a
 //! budget can interrupt a long tour on large graphs
 //! ([`ColonyRun::stopped_early`]).
 
 use crate::stretch::stretch;
 use crate::walk::{perform_walk, WalkCtx};
-use crate::{AcoParams, SearchState, VertexLayerMatrix, WalkScratch};
+use crate::{AcoParams, SearchState, Trails, WalkScratch};
 use antlayer_graph::{CsrView, Dag};
 use antlayer_layering::{
     Layering, LayeringAlgorithm, LayeringMetrics, LongestPath, Solution, WidthModel,
@@ -134,7 +137,7 @@ pub struct Colony<'a> {
     csr: CsrView,
     /// Resolved worker count (params' `0` already replaced).
     threads: usize,
-    tau: VertexLayerMatrix,
+    tau: Trails,
     base: SearchState,
     best: SearchState,
     best_objective: f64,
@@ -158,8 +161,7 @@ impl<'a> Colony<'a> {
         let target = params.target_layers.unwrap_or(dag.node_count());
         let stretched = stretch(&lpl, target, params.stretch);
         let base = SearchState::new(dag, &stretched.layering, stretched.total_layers.max(1), wm);
-        let tau =
-            VertexLayerMatrix::filled(dag.node_count(), base.total_layers as usize, params.tau0);
+        let tau = Trails::new(dag.node_count(), base.total_layers as usize, params.tau0);
         let best_objective = if dag.node_count() == 0 {
             0.0
         } else {
@@ -194,7 +196,7 @@ impl<'a> Colony<'a> {
     /// The layering — typically the result of a previous run on a
     /// near-identical graph, [repaired](antlayer_layering::Layering::repaired)
     /// after an edge edit — becomes the global best, and its trail is
-    /// deposited into the pheromone matrix before the first tour (one
+    /// deposited into the pheromone trails before the first tour (one
     /// tour-best-sized deposit on every `(vertex, layer)` coupling it
     /// uses), biasing the ants towards the incumbent's couplings.
     ///
@@ -233,8 +235,8 @@ impl<'a> Colony<'a> {
         for v in self.dag.nodes() {
             let layer = seed_state.layer[v.index()];
             // Under an explicit `target_layers` smaller than the seed's
-            // height, the seed can occupy layers the (LPL-sized) matrix
-            // does not have; those couplings simply get no trail.
+            // height, the seed can occupy layers the (LPL-sized) trails
+            // do not have; those couplings simply get no trail.
             if layer <= self.base.total_layers {
                 self.tau.add(v, layer, self.params.deposit_q * objective);
             }
@@ -333,8 +335,7 @@ impl<'a> Colony<'a> {
 
         // Evaporation, then deposit (Alg. 4, 16–17). The paper's rule is
         // tour-best only; rank-based deposit is an extension.
-        self.tau.scale_all(1.0 - self.params.rho);
-        self.tau.clamp_min(1e-12);
+        self.tau.evaporate(1.0 - self.params.rho, 1e-12);
         match self.params.deposit {
             crate::DepositStrategy::TourBest => {
                 for v in self.dag.nodes() {
@@ -779,6 +780,87 @@ mod tests {
         assert!(
             aco_width < 0.8 * lpl_width,
             "ACO width {aco_width} should clearly beat LPL width {lpl_width}"
+        );
+    }
+
+    #[test]
+    fn matches_the_dense_reference_colony_bit_for_bit() {
+        // The sparse trails must reproduce the dense matrix exactly, so the
+        // colony and the frozen reference colony (dense trails, evaporated
+        // in full every tour) make every choice the same. With ρ = 0.5 the
+        // 1e-12 floor and the pruning of stored couplings only act after
+        // about 40 tours; the 60-tour runs are the ones that reach them.
+        use crate::{SelectionRule, VisitOrder};
+        let mut rng = StdRng::seed_from_u64(61);
+        let dags = [
+            generate::random_dag_with_edges(30, 45, &mut rng),
+            generate::layered_dag(50, 12, 0.05, 2, &mut rng),
+        ];
+        let wm = WidthModel::unit();
+        for dag in &dags {
+            for selection in [SelectionRule::ArgMax, SelectionRule::Roulette] {
+                for visit_order in [VisitOrder::Random, VisitOrder::Bfs, VisitOrder::Topological] {
+                    for n_tours in [10, 60] {
+                        let params = AcoParams {
+                            selection,
+                            visit_order,
+                            ..AcoParams::default().with_colony(4, n_tours).with_seed(9)
+                        };
+                        let case = format!("{selection:?}/{visit_order:?}/{n_tours} tours");
+                        let run = AcoLayering::new(params.clone()).run(dag, &wm);
+                        let reference = crate::reference::run_colony(dag, &wm, &params);
+                        assert_eq!(run.layering, reference.layering, "{case}");
+                        assert_eq!(
+                            run.objective.to_bits(),
+                            reference.objective.to_bits(),
+                            "{case}"
+                        );
+                        assert_eq!(run.tours.len(), reference.tours.len(), "{case}");
+                        for (a, b) in run.tours.iter().zip(&reference.tours) {
+                            assert_eq!(
+                                a.best_objective.to_bits(),
+                                b.best_objective.to_bits(),
+                                "{case}, tour {}",
+                                a.tour
+                            );
+                            assert_eq!(
+                                a.mean_objective.to_bits(),
+                                b.mean_objective.to_bits(),
+                                "{case}, tour {}",
+                                a.tour
+                            );
+                            assert_eq!(a.best_height, b.best_height, "{case}");
+                            assert_eq!(a.best_width, b.best_width, "{case}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn evaporated_deposits_fall_back_onto_the_floor() {
+        // At ρ = 0.5 a deposit decays to the 1e-12 floor within about 40
+        // tours unless a later tour refreshes it; the store must then drop
+        // it, so after 60 tours it holds fewer couplings than were ever
+        // deposited, but still every coupling of the last deposit.
+        let mut rng = StdRng::seed_from_u64(62);
+        let dag = generate::layered_dag(40, 10, 0.05, 2, &mut rng);
+        let wm = WidthModel::unit();
+        let params = AcoParams::default().with_colony(4, 60).with_seed(3);
+        let mut colony = Colony::new(&dag, &wm, params).unwrap();
+        let mut deposited = std::collections::BTreeSet::new();
+        for t in 0..60 {
+            colony.perform_tour(t, None).expect("unbounded tour");
+            // The tour best, now the base, deposited on its couplings.
+            deposited.extend(dag.nodes().map(|v| (v, colony.base.layer[v.index()])));
+        }
+        let stored = colony.tau.stored();
+        assert!(stored >= dag.node_count(), "the last deposit is stored");
+        assert!(
+            stored < deposited.len(),
+            "no coupling was pruned: {stored} stored of {} deposited",
+            deposited.len()
         );
     }
 

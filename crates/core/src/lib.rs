@@ -65,7 +65,7 @@ pub mod tuning;
 mod walk;
 
 pub use colony::{AcoLayering, Colony, ColonyRun, TourStats, TrajectoryPoint};
-pub use matrix::VertexLayerMatrix;
+pub use matrix::Trails;
 pub use order_model::OrderAcoLayering;
 pub use params::{AcoParams, DepositStrategy, SelectionRule, StretchStrategy, VisitOrder};
 pub use portfolio::Portfolio;

@@ -16,7 +16,7 @@
 
 use crate::stretch::stretch;
 use crate::walk::{choose_layer, PowExp};
-use crate::{AcoParams, SearchState, VertexLayerMatrix};
+use crate::{AcoParams, SearchState};
 use antlayer_graph::{Dag, NodeId};
 use antlayer_layering::{Layering, LayeringAlgorithm, LongestPath, WidthModel};
 use antlayer_parallel::{default_threads, par_map};
@@ -101,8 +101,9 @@ fn order_walk(
     let n = dag.node_count();
     let eta_floor = params.effective_eta_floor(wm.dummy_width);
     let (alpha, beta) = (PowExp::of(params.alpha), PowExp::of(params.beta));
-    // Uniform layer-pheromone: the layer decision is heuristic-only here.
-    let uniform = VertexLayerMatrix::filled(n, state.total_layers as usize, 1.0);
+    // Uniform layer-pheromone: the layer decision is heuristic-only here,
+    // so every span window is a prefix of one all-ones slice.
+    let ones = vec![1.0; state.total_layers as usize];
     let mut visited = vec![false; n];
     let mut order = Vec::with_capacity(n);
     let mut scores = Vec::new();
@@ -140,10 +141,11 @@ fn order_walk(
             })
         };
         visited[next.index()] = true;
+        let span = (state.span_hi[next.index()] - state.span_lo[next.index()]) as usize;
         let target = choose_layer(
             next,
             state,
-            uniform.row(next),
+            &ones[..=span],
             params.selection,
             alpha,
             beta,

@@ -4,9 +4,10 @@
 //! before the zero-allocation refactor: every walk allocates a fresh
 //! visit-order `Vec`, roulette allocates a per-vertex score `Vec`,
 //! neighbor scans chase the `Vec<Vec<NodeId>>` adjacency of the [`Dag`],
-//! every ant clones the tour base, and each ant is scored by rebuilding,
+//! every ant clones the tour base, each ant is scored by rebuilding,
 //! normalizing and re-measuring a full `Layering`
-//! ([`SearchState::normalized_objective`]).
+//! ([`SearchState::normalized_objective`]), and the pheromone lives in a
+//! dense `V × H` matrix that every tour evaporates in full.
 //!
 //! It exists so the speedup of the optimized path
 //! ([`perform_walk`](crate::perform_walk) + [`Colony`](crate::Colony)) can
@@ -16,7 +17,7 @@
 //! deliberately not wired into the serving stack.
 
 use crate::walk::pow_fast;
-use crate::{AcoParams, SearchState, SelectionRule, VertexLayerMatrix, VisitOrder};
+use crate::{AcoParams, SearchState, SelectionRule, VisitOrder};
 use antlayer_graph::{Bfs, Dag, Direction, NodeId};
 use antlayer_layering::WidthModel;
 use antlayer_parallel::{default_threads, par_map};
@@ -24,10 +25,69 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
+/// The dense `vertices × layers` pheromone matrix the colony used before
+/// its sparse [`Trails`](crate::Trails), row-major by vertex, with
+/// 1-based layers.
+struct VertexLayerMatrix {
+    data: Vec<f64>,
+    layers: usize,
+}
+
+impl VertexLayerMatrix {
+    fn filled(vertices: usize, layers: usize, fill: f64) -> Self {
+        VertexLayerMatrix {
+            data: vec![fill; vertices * layers],
+            layers,
+        }
+    }
+
+    fn idx(&self, v: NodeId, layer: u32) -> usize {
+        debug_assert!((1..=self.layers as u32).contains(&layer));
+        v.index() * self.layers + (layer as usize - 1)
+    }
+
+    fn get(&self, v: NodeId, layer: u32) -> f64 {
+        self.data[self.idx(v, layer)]
+    }
+
+    fn add(&mut self, v: NodeId, layer: u32, delta: f64) {
+        let i = self.idx(v, layer);
+        self.data[i] += delta;
+    }
+
+    fn scale_all(&mut self, factor: f64) {
+        for x in &mut self.data {
+            *x *= factor;
+        }
+    }
+
+    fn clamp_min(&mut self, min: f64) {
+        for x in &mut self.data {
+            if *x < min {
+                *x = min;
+            }
+        }
+    }
+}
+
+/// One pre-refactor walk over uniform `tau0` trails (a fresh dense
+/// matrix), the comparator of the optimized walk's property tests.
+pub fn perform_walk(
+    dag: &Dag,
+    wm: &WidthModel,
+    params: &AcoParams,
+    tau0: f64,
+    state: &mut SearchState,
+    rng: &mut impl Rng,
+) -> f64 {
+    let tau = VertexLayerMatrix::filled(dag.node_count(), state.total_layers as usize, tau0);
+    walk(dag, wm, params, &tau, state, rng)
+}
+
 /// The pre-refactor walk: allocates the visit order (and, under roulette,
 /// a score vector per vertex), scans `Vec<Vec>` adjacency, and scores the
 /// ant with the full `O(V + E + H)` objective rebuild.
-pub fn perform_walk(
+fn walk(
     dag: &Dag,
     wm: &WidthModel,
     params: &AcoParams,
@@ -216,7 +276,7 @@ pub fn run_colony(dag: &Dag, wm: &WidthModel, params: &AcoParams) -> ReferenceRu
         let walks: Vec<(SearchState, f64)> = par_map(threads, seeds, |_, seed| {
             let mut state = base_ref.clone();
             let mut rng = StdRng::seed_from_u64(seed);
-            let f = perform_walk(dag, wm, params, tau_ref, &mut state, &mut rng);
+            let f = walk(dag, wm, params, tau_ref, &mut state, &mut rng);
             (state, f)
         });
         let (best_idx, _) = walks
@@ -283,7 +343,8 @@ mod tests {
 
     #[test]
     fn reference_walk_matches_optimized_walk_objective() {
-        // Same seed, same base: the reference walk and the optimized walk
+        // Same seed, same base, the same deposits in the dense matrix and
+        // the sparse trails: the reference walk and the optimized walk
         // must land on equally good states (the objective evaluations are
         // property-tested equal; here we just sanity-check the glue).
         use antlayer_layering::{LayeringAlgorithm, LongestPath};
@@ -294,14 +355,21 @@ mod tests {
         let lpl = LongestPath.layer(&dag, &wm);
         let s = crate::stretch::stretch(&lpl, dag.node_count(), params.stretch);
         let base = SearchState::new(&dag, &s.layering, s.total_layers, &wm);
-        let tau = VertexLayerMatrix::filled(dag.node_count(), base.total_layers as usize, 1.0);
+        let layers = base.total_layers as usize;
+        let mut dense = VertexLayerMatrix::filled(dag.node_count(), layers, 1.0);
+        let mut sparse = crate::Trails::new(dag.node_count(), layers, 1.0);
+        for v in dag.nodes().step_by(3) {
+            let l = base.span_hi[v.index()];
+            dense.add(v, l, 2.5);
+            sparse.add(v, l, 2.5);
+        }
 
         let mut a = base.clone();
-        let fa = perform_walk(
+        let fa = walk(
             &dag,
             &wm,
             &params,
-            &tau,
+            &dense,
             &mut a,
             &mut StdRng::seed_from_u64(11),
         );
@@ -311,7 +379,7 @@ mod tests {
         let mut b = base.clone();
         let fb = crate::walk::perform_walk(
             &ctx,
-            &tau,
+            &sparse,
             &mut b,
             &mut crate::WalkScratch::new(),
             &mut StdRng::seed_from_u64(11),

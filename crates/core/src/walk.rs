@@ -10,15 +10,20 @@
 //! maintained incrementally by [`SearchState::move_vertex`]).
 //!
 //! This is the hottest loop in the repository, engineered to perform **no
-//! heap allocation per walk**: the visit-order, BFS and roulette buffers
-//! live in a reusable [`WalkScratch`], neighbor scans go through the
-//! colony's [CSR view](CsrView), pheromone reads are contiguous row
-//! slices, the `τ^α · η^β` exponents are pre-dispatched to integer powers
-//! ([`PowExp`]), and the ant is scored with the flat-scan incremental
-//! objective instead of rebuilding a `Layering`. The pre-refactor
-//! allocating path survives as [`crate::reference`] for benchmarking.
+//! heap allocation per walk**: the visit-order, BFS, roulette and
+//! pheromone-window buffers live in a reusable [`WalkScratch`], neighbor
+//! scans go through the colony's [CSR view](CsrView), the `τ^α · η^β`
+//! exponents are pre-dispatched to integer powers ([`PowExp`]), and the
+//! ant is scored with the flat-scan incremental objective instead of
+//! rebuilding a `Layering`. The sparse [`Trails`] store has no rows to
+//! borrow, so before each choice the walk writes `v`'s span window
+//! `[lo, hi]` into the scratch: it starts from the trails' shared floor
+//! and overwrites the few stored couplings that fall inside the span
+//! (found by binary search). The choice then scans that contiguous
+//! window. The pre-refactor allocating path survives as
+//! [`crate::reference`] for benchmarking.
 
-use crate::{AcoParams, SearchState, SelectionRule, VertexLayerMatrix, VisitOrder};
+use crate::{AcoParams, SearchState, SelectionRule, Trails, VisitOrder};
 use antlayer_graph::{Adjacency, CsrView, Dag, NodeId};
 use antlayer_layering::WidthModel;
 use rand::seq::SliceRandom;
@@ -103,8 +108,9 @@ pub struct WalkResult {
 }
 
 /// Reusable per-thread buffers for [`perform_walk`]: the visit-order
-/// buffer, the roulette score buffer, and the BFS bookkeeping (seen
-/// flags, queue, leftover-component list).
+/// buffer, the pheromone window of the vertex being placed, the roulette
+/// score buffer, and the BFS bookkeeping (seen flags, queue,
+/// leftover-component list).
 ///
 /// Buffers grow to the graph's size on first use and are reused
 /// afterwards — one warm-up walk, then zero heap allocations per walk
@@ -114,6 +120,7 @@ pub struct WalkResult {
 #[derive(Clone, Debug, Default)]
 pub struct WalkScratch {
     order: Vec<NodeId>,
+    taus: Vec<f64>,
     scores: Vec<f64>,
     seen: Vec<bool>,
     queue: Vec<NodeId>,
@@ -171,14 +178,14 @@ impl<'a> WalkCtx<'a> {
 /// `W(l)` would charge `v`'s own width against its current layer only and
 /// make every ant drift off its layer (documented inference, DESIGN.md §4).
 ///
-/// `tau_row` is `v`'s contiguous pheromone row (entry `l − 1` is layer
-/// `l`); `scores` is the caller's reusable roulette buffer. Returns the
-/// chosen layer.
+/// `taus` is `v`'s pheromone over its span (entry `l − lo` is layer `l`,
+/// see [`Trails::window`]); `scores` is the caller's reusable roulette
+/// buffer. Returns the chosen layer.
 #[allow(clippy::too_many_arguments)] // hot path: flat args beat a builder
 pub(crate) fn choose_layer(
     v: NodeId,
     state: &SearchState,
-    tau_row: &[f64],
+    taus: &[f64],
     selection: SelectionRule,
     alpha: PowExp,
     beta: PowExp,
@@ -190,6 +197,7 @@ pub(crate) fn choose_layer(
     let lo = state.span_lo[v.index()];
     let hi = state.span_hi[v.index()];
     debug_assert!(lo <= hi);
+    debug_assert_eq!(taus.len(), (hi - lo + 1) as usize);
     if lo == hi {
         return lo;
     }
@@ -203,19 +211,19 @@ pub(crate) fn choose_layer(
     match selection {
         SelectionRule::ArgMax => match (alpha, beta) {
             (PowExp::One, PowExp::Three) => {
-                argmax_span(v, state, tau_row, wm, eta_floor, |t, e| t * (e * e * e))
+                argmax_span(v, state, taus, wm, eta_floor, |t, e| t * (e * e * e))
             }
-            _ => argmax_span(v, state, tau_row, wm, eta_floor, |t, e| {
+            _ => argmax_span(v, state, taus, wm, eta_floor, |t, e| {
                 alpha.apply(t) * beta.apply(e)
             }),
         },
         SelectionRule::Roulette => match (alpha, beta) {
             (PowExp::One, PowExp::Three) => {
-                roulette_span(v, state, tau_row, wm, eta_floor, scores, rng, |t, e| {
+                roulette_span(v, state, taus, wm, eta_floor, scores, rng, |t, e| {
                     t * (e * e * e)
                 })
             }
-            _ => roulette_span(v, state, tau_row, wm, eta_floor, scores, rng, |t, e| {
+            _ => roulette_span(v, state, taus, wm, eta_floor, scores, rng, |t, e| {
                 alpha.apply(t) * beta.apply(e)
             }),
         },
@@ -233,7 +241,7 @@ pub(crate) fn choose_layer(
 fn argmax_span(
     v: NodeId,
     state: &SearchState,
-    tau_row: &[f64],
+    taus: &[f64],
     wm: &WidthModel,
     eta_floor: f64,
     score_of: impl Fn(f64, f64) -> f64,
@@ -245,7 +253,6 @@ fn argmax_span(
     // Contiguous span windows: one bounds check per scan, not per
     // candidate, and the zip gives the optimizer straight-line slices.
     let widths = &state.width[lo as usize..=hi as usize];
-    let taus = &tau_row[(lo - 1) as usize..=(hi - 1) as usize];
     let cur_off = (cur - lo) as usize; // spans always bracket cur
     let mut best_off = 0usize;
     let mut best_score = f64::NEG_INFINITY;
@@ -269,7 +276,7 @@ fn argmax_span(
 fn roulette_span(
     v: NodeId,
     state: &SearchState,
-    tau_row: &[f64],
+    taus: &[f64],
     wm: &WidthModel,
     eta_floor: f64,
     scores: &mut Vec<f64>,
@@ -281,7 +288,6 @@ fn roulette_span(
     let cur = state.layer[v.index()];
     let vw = wm.node_width(v);
     let widths = &state.width[lo as usize..=hi as usize];
-    let taus = &tau_row[(lo - 1) as usize..=(hi - 1) as usize];
     let cur_off = (cur - lo) as usize;
     scores.clear();
     scores.extend(
@@ -329,13 +335,14 @@ fn roulette_span(
 /// Allocation-free once `scratch` has warmed up on a graph of this size.
 pub fn perform_walk(
     ctx: &WalkCtx<'_>,
-    tau: &VertexLayerMatrix,
+    tau: &Trails,
     state: &mut SearchState,
     scratch: &mut WalkScratch,
     rng: &mut impl Rng,
 ) -> f64 {
     let WalkScratch {
         order,
+        taus,
         scores,
         seen,
         queue,
@@ -343,10 +350,11 @@ pub fn perform_walk(
     } = scratch;
     fill_visit_order(ctx, order, seen, queue, rest, rng);
     for &v in order.iter() {
+        let (lo, hi) = (state.span_lo[v.index()], state.span_hi[v.index()]);
         let target = choose_layer(
             v,
             state,
-            tau.row(v),
+            tau.window(v, lo, hi, taus),
             ctx.params.selection,
             ctx.alpha,
             ctx.beta,
@@ -457,7 +465,7 @@ mod tests {
         dag: &Dag,
         wm: &WidthModel,
         params: &AcoParams,
-        tau: &VertexLayerMatrix,
+        tau: &Trails,
         state: &mut SearchState,
         rng: &mut impl Rng,
     ) -> f64 {
@@ -469,16 +477,17 @@ mod tests {
     fn pick(
         v: NodeId,
         state: &SearchState,
-        tau: &VertexLayerMatrix,
+        tau: &Trails,
         params: &AcoParams,
         wm: &WidthModel,
         eta_floor: f64,
         rng: &mut impl Rng,
     ) -> u32 {
+        let (lo, hi) = (state.span_lo[v.index()], state.span_hi[v.index()]);
         choose_layer(
             v,
             state,
-            tau.row(v),
+            tau.window(v, lo, hi, &mut Vec::new()),
             params.selection,
             PowExp::of(params.alpha),
             PowExp::of(params.beta),
@@ -502,8 +511,7 @@ mod tests {
     fn walk_preserves_layering_validity() {
         let (dag, mut state) = setup(1, 25);
         let params = AcoParams::default();
-        let tau =
-            VertexLayerMatrix::filled(dag.node_count(), state.total_layers as usize, params.tau0);
+        let tau = Trails::new(dag.node_count(), state.total_layers as usize, params.tau0);
         let mut rng = StdRng::seed_from_u64(2);
         let f = walk_once(
             &dag,
@@ -522,8 +530,7 @@ mod tests {
     fn walk_is_deterministic_per_seed() {
         let (dag, state) = setup(3, 20);
         let params = AcoParams::default();
-        let tau =
-            VertexLayerMatrix::filled(dag.node_count(), state.total_layers as usize, params.tau0);
+        let tau = Trails::new(dag.node_count(), state.total_layers as usize, params.tau0);
         let wm = WidthModel::unit();
         let mut a = state.clone();
         let mut b = state.clone();
@@ -587,11 +594,7 @@ mod tests {
                     selection: sel,
                     ..AcoParams::default()
                 };
-                let tau = VertexLayerMatrix::filled(
-                    dag.node_count(),
-                    state.total_layers as usize,
-                    params.tau0,
-                );
+                let tau = Trails::new(dag.node_count(), state.total_layers as usize, params.tau0);
                 let ctx = WalkCtx::new(&dag, &csr, &wm, &params);
                 let mut reused = WalkScratch::new();
                 for seed in 0..6u64 {
@@ -627,8 +630,7 @@ mod tests {
             beta: 0.0,
             ..AcoParams::default()
         };
-        let tau =
-            VertexLayerMatrix::filled(dag.node_count(), state.total_layers as usize, params.tau0);
+        let tau = Trails::new(dag.node_count(), state.total_layers as usize, params.tau0);
         let mut rng = StdRng::seed_from_u64(4);
         walk_once(
             &dag,
@@ -649,8 +651,8 @@ mod tests {
         let wm = WidthModel::unit();
         let state = SearchState::new(&dag, &antlayer_layering::Layering::from_slice(&[1]), 2, &wm);
         let params = AcoParams::default();
-        let mut tau = VertexLayerMatrix::filled(1, 2, 1.0);
-        tau.set(NodeId::new(0), 2, 100.0);
+        let mut tau = Trails::new(1, 2, 1.0);
+        tau.add(NodeId::new(0), 2, 99.0);
         let mut rng = StdRng::seed_from_u64(1);
         let chosen = pick(NodeId::new(0), &state, &tau, &params, &wm, 1.0, &mut rng);
         assert_eq!(chosen, 2);
@@ -669,7 +671,7 @@ mod tests {
             &wm,
         );
         let params = AcoParams::default();
-        let tau = VertexLayerMatrix::filled(2, 2, 1.0);
+        let tau = Trails::new(2, 2, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
         let chosen = pick(NodeId::new(0), &state, &tau, &params, &wm, 1.0, &mut rng);
         assert_eq!(chosen, 2, "empty layer 2 is more attractive");
@@ -684,7 +686,7 @@ mod tests {
             selection: SelectionRule::Roulette,
             ..AcoParams::default()
         };
-        let tau = VertexLayerMatrix::filled(1, 3, 1.0);
+        let tau = Trails::new(1, 3, 1.0);
         let mut rng = StdRng::seed_from_u64(6);
         let mut seen = [false; 4];
         for _ in 0..200 {
@@ -758,11 +760,7 @@ mod tests {
                 visit_order: order,
                 ..AcoParams::default()
             };
-            let tau = VertexLayerMatrix::filled(
-                dag.node_count(),
-                state.total_layers as usize,
-                params.tau0,
-            );
+            let tau = Trails::new(dag.node_count(), state.total_layers as usize, params.tau0);
             let mut s = state.clone();
             let mut rng = StdRng::seed_from_u64(4);
             let f = walk_once(&dag, &wm, &params, &tau, &mut s, &mut rng);
@@ -783,7 +781,7 @@ mod tests {
             &wm,
         );
         let params = AcoParams::default();
-        let tau = VertexLayerMatrix::filled(3, 3, 1.0);
+        let tau = Trails::new(3, 3, 1.0);
         let mut rng = StdRng::seed_from_u64(8);
         assert_eq!(
             pick(NodeId::new(1), &state, &tau, &params, &wm, 1.0, &mut rng),

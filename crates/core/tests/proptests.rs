@@ -4,7 +4,7 @@
 
 use antlayer_aco::{
     compute_widths, perform_walk, stretch, AcoLayering, AcoParams, DepositStrategy, SearchState,
-    SelectionRule, StretchStrategy, VertexLayerMatrix, VisitOrder, WalkCtx, WalkScratch,
+    SelectionRule, StretchStrategy, Trails, VisitOrder, WalkCtx, WalkScratch,
 };
 use antlayer_graph::{generate, Dag, NodeId, NodeVec};
 use antlayer_layering::{metrics, LayeringAlgorithm, LongestPath, WidthModel};
@@ -107,11 +107,7 @@ proptest! {
         let s = stretch(&lpl, dag.node_count(), StretchStrategy::Between);
         let mut state = SearchState::new(&dag, &s.layering, s.total_layers, &wm);
         let params = AcoParams::default();
-        let tau = VertexLayerMatrix::filled(
-            dag.node_count(),
-            state.total_layers as usize,
-            params.tau0,
-        );
+        let tau = Trails::new(dag.node_count(), state.total_layers as usize, params.tau0);
         let mut rng = StdRng::seed_from_u64(seed);
         let csr = dag.to_csr();
         let ctx = WalkCtx::new(&dag, &csr, &wm, &params);
@@ -216,10 +212,10 @@ proptest! {
         let lpl = LongestPath.layer(&dag, &wm);
         let s = stretch(&lpl, dag.node_count(), StretchStrategy::Between);
         let base = SearchState::new(&dag, &s.layering, s.total_layers, &wm);
-        let tau = VertexLayerMatrix::filled(dag.node_count(), base.total_layers as usize, 1.0);
+        let tau = Trails::new(dag.node_count(), base.total_layers as usize, 1.0);
         let mut old = base.clone();
         let f_old = antlayer_aco::reference::perform_walk(
-            &dag, &wm, &params, &tau, &mut old, &mut StdRng::seed_from_u64(seed),
+            &dag, &wm, &params, 1.0, &mut old, &mut StdRng::seed_from_u64(seed),
         );
         let csr = dag.to_csr();
         let ctx = WalkCtx::new(&dag, &csr, &wm, &params);
@@ -241,5 +237,124 @@ proptest! {
         )
         .run(&dag, &wm);
         prop_assert_eq!(run.metrics.width, run.metrics.width_excl_dummies);
+    }
+}
+
+/// The dense trail matrix the sparse store must reproduce: one `f64` per
+/// `(vertex, layer)`, every operation applied to every entry.
+struct DenseOracle {
+    data: Vec<f64>,
+    layers: usize,
+}
+
+impl DenseOracle {
+    fn at(&mut self, v: usize, layer: u32) -> &mut f64 {
+        &mut self.data[v * self.layers + layer as usize - 1]
+    }
+
+    fn evaporate(&mut self, keep: f64, min: f64) {
+        for x in &mut self.data {
+            *x *= keep;
+        }
+        for x in &mut self.data {
+            if *x < min {
+                *x = min;
+            }
+        }
+    }
+
+    fn clamp_range(&mut self, min: f64, max: f64) {
+        for x in &mut self.data {
+            *x = x.clamp(min, max);
+        }
+    }
+}
+
+/// Every `get` and every span window of `trails` equals the oracle's
+/// entries bit for bit.
+fn trails_match_oracle(trails: &Trails, oracle: &DenseOracle) -> Result<(), String> {
+    let layers = oracle.layers as u32;
+    let mut buf = Vec::new();
+    for v in 0..trails.vertices() {
+        let row = &oracle.data[v * oracle.layers..(v + 1) * oracle.layers];
+        for l in 1..=layers {
+            let got = trails.get(NodeId::new(v), l);
+            prop_assert!(
+                got.to_bits() == row[l as usize - 1].to_bits(),
+                "get({}, {}) = {} but dense holds {}",
+                v,
+                l,
+                got,
+                row[l as usize - 1]
+            );
+        }
+        for lo in 1..=layers {
+            for hi in lo..=layers {
+                let window = trails.window(NodeId::new(v), lo, hi, &mut buf);
+                let dense = &row[lo as usize - 1..hi as usize];
+                prop_assert!(
+                    window
+                        .iter()
+                        .map(|x| x.to_bits())
+                        .eq(dense.iter().map(|x| x.to_bits())),
+                    "window({}, {}..={}) = {:?} but dense holds {:?}",
+                    v,
+                    lo,
+                    hi,
+                    window,
+                    dense
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn sparse_trails_match_a_dense_matrix_bit_for_bit(
+        shape in (1usize..7, 1usize..10, 0u8..3, 0u8..3),
+        ops in (0u64..1_000_000, 1usize..90, 0u8..3, 1usize..4),
+    ) {
+        // Colony-shaped tours: evaporation with the 1e-12 floor, then a
+        // tour-best or rank-based deposit, then the optional MAX–MIN
+        // clamp; plus stray single deposits. Long sequences drive the
+        // floor down to 1e-12 and the clamps push stored entries back
+        // onto it, so pruning is exercised.
+        let (vertices, layers, tau0_pick, rho_pick) = shape;
+        let (seed, tours, bounds_pick, ranked) = ops;
+        let tau0 = [1.0, 0.3, 1e-10][tau0_pick as usize];
+        let keep = 1.0 - [0.1, 0.5, 0.9][rho_pick as usize];
+        let bounds = [None, Some((0.05, 0.5)), Some((1e-3, 2.0))][bounds_pick as usize];
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut trails = Trails::new(vertices, layers, tau0);
+        let mut oracle = DenseOracle { data: vec![tau0; vertices * layers], layers };
+        for _ in 0..tours {
+            trails.evaporate(keep, 1e-12);
+            oracle.evaporate(keep, 1e-12);
+            for rank in 0..ranked {
+                let weight = (ranked - rank) as f64 / ranked as f64;
+                let deposit = rng.gen_range(0.001..0.5) * weight;
+                for v in 0..vertices {
+                    let l = rng.gen_range(1..=layers as u32);
+                    trails.add(NodeId::new(v), l, deposit);
+                    *oracle.at(v, l) += deposit;
+                }
+            }
+            if rng.gen_bool(0.2) {
+                let (v, l) = (rng.gen_range(0..vertices), rng.gen_range(1..=layers as u32));
+                let delta = rng.gen_range(0.0..3.0);
+                trails.add(NodeId::new(v), l, delta);
+                *oracle.at(v, l) += delta;
+            }
+            if let Some((lo, hi)) = bounds {
+                trails.clamp_range(lo, hi);
+                oracle.clamp_range(lo, hi);
+            }
+            trails_match_oracle(&trails, &oracle)?;
+            prop_assert!(trails.stored() <= vertices * layers);
+        }
     }
 }

@@ -3,6 +3,9 @@
 //! allocations** — the visit order, BFS bookkeeping and roulette scores
 //! live in the reusable `WalkScratch`, the state is re-seeded with
 //! `copy_from`, and the ant is scored by the flat-scan incremental objective.
+//! The allocator also counts bytes, which bounds what a 10⁴-node colony
+//! allocates before and during its first tour: the sparse trails must not
+//! cost `V × H` floats.
 //!
 //! The assertions only run in release builds (`cargo test --release -p
 //! antlayer-aco --test zero_alloc`, wired into CI): debug builds run
@@ -17,12 +20,14 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: delegates every operation to the system allocator unchanged;
-// the only addition is a relaxed counter bump on allocation paths.
+// the only addition is relaxed counter bumps on allocation paths.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -32,6 +37,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,20 +51,34 @@ fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
 }
 
+#[cfg_attr(debug_assertions, allow(dead_code))]
+fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
+}
+
 #[cfg(not(debug_assertions))]
 mod release_only {
-    use super::allocations;
+    use super::{allocated_bytes, allocations};
     use antlayer_aco::{
-        perform_walk, stretch, AcoParams, SearchState, SelectionRule, StretchStrategy,
-        VertexLayerMatrix, VisitOrder, WalkCtx, WalkScratch,
+        perform_walk, stretch, AcoParams, Colony, SearchState, SelectionRule, StretchStrategy,
+        Trails, VisitOrder, WalkCtx, WalkScratch,
     };
     use antlayer_graph::generate;
     use antlayer_layering::{LayeringAlgorithm, LongestPath, WidthModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::sync::{Mutex, MutexGuard};
+
+    /// The counters are process-wide and the test harness runs tests on
+    /// parallel threads, so every measuring test holds this lock.
+    fn serial() -> MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
 
     #[test]
     fn perform_walk_is_allocation_free_after_warmup() {
+        let _serial = serial();
         let mut rng = StdRng::seed_from_u64(7);
         // The bench scenario's shape: a deep, sparse 200-node DAG.
         let dag = generate::layered_dag(200, 50, 0.04, 2, &mut rng);
@@ -75,11 +95,7 @@ mod release_only {
                     visit_order,
                     ..AcoParams::default()
                 };
-                let tau = VertexLayerMatrix::filled(
-                    dag.node_count(),
-                    base.total_layers as usize,
-                    params.tau0,
-                );
+                let tau = Trails::new(dag.node_count(), base.total_layers as usize, params.tau0);
                 let ctx = WalkCtx::new(&dag, &csr, &wm, &params);
                 let mut state = base.clone();
                 let mut scratch = WalkScratch::new();
@@ -107,13 +123,37 @@ mod release_only {
     }
 
     #[test]
+    fn colony_setup_and_first_tour_stay_far_below_dense_trails() {
+        // A dense 10⁴ × 10⁴ trail matrix alone is 800 MB; the sparse
+        // trails, the per-ant states and one tour's deposits fit in a
+        // small fraction of that.
+        let _serial = serial();
+        let mut rng = StdRng::seed_from_u64(11);
+        let n = 10_000;
+        let dag = generate::layered_dag(n, n / 10, 0.02, 2, &mut rng);
+        let wm = WidthModel::unit();
+        let params = AcoParams::default().with_colony(10, 1).with_seed(5);
+        let before = allocated_bytes();
+        let run = Colony::new(&dag, &wm, params).unwrap().run();
+        let allocated = allocated_bytes() - before;
+        assert_eq!(run.tours.len(), 1);
+        assert!(
+            allocated < 64 << 20,
+            "Colony::new + one tour at n = {n} allocated {} MB",
+            allocated >> 20
+        );
+    }
+
+    #[test]
     fn counting_allocator_counts() {
         // Guard against the instrument silently going dead: an actual
-        // allocation must move the counter, or the zero assertions above
+        // allocation must move both counters, or the assertions above
         // prove nothing.
-        let before = allocations();
+        let _serial = serial();
+        let (before, before_bytes) = (allocations(), allocated_bytes());
         let v: Vec<u64> = std::hint::black_box((0..64).collect());
         assert!(v.len() == 64 && allocations() > before);
+        assert!(allocated_bytes() >= before_bytes + 64 * 8);
     }
 }
 

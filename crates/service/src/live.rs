@@ -32,15 +32,11 @@
 //! in-flight one lands — the wire frame reports how many edits it
 //! covers in its `coalesced` member.
 
-use crate::protocol::{
-    self, Envelope, ErrorKind, Request, Response, SessionUpdate, WireError,
-};
+use crate::protocol::{self, Envelope, ErrorKind, Request, Response, SessionUpdate, WireError};
 use crate::scheduler::{
     DeltaRequest, LayoutRequest, LayoutResponse, LayoutResult, Scheduler, ServiceError,
 };
-use crate::session::{
-    diff_layers, OutboundQueue, SessionKey, SessionMetrics, SessionTable,
-};
+use crate::session::{diff_layers, OutboundQueue, SessionKey, SessionMetrics, SessionTable};
 use antlayer_graph::GraphDelta;
 use antlayer_reactor::{Interest, Poller, Waker};
 use std::collections::HashMap;
@@ -146,8 +142,8 @@ impl LiveStopper {
 }
 
 /// The live listener's event loop. Construct with [`LiveReactor::new`],
-/// keep a [`stopper`](LiveReactor::stopper), and give [`run`]
-/// (LiveReactor::run) a thread.
+/// keep a [`stopper`](LiveReactor::stopper), and give
+/// [`run`](LiveReactor::run) a thread.
 pub struct LiveReactor {
     listener: TcpListener,
     poller: Poller,
@@ -440,7 +436,12 @@ impl LiveReactor {
 
     /// The session key a v2 envelope addresses, or an error frame if
     /// the envelope cannot address one.
-    fn session_key(&mut self, token: u64, env: &Envelope, op: &str) -> Option<(SessionKey, protocol::Json)> {
+    fn session_key(
+        &mut self,
+        token: u64,
+        env: &Envelope,
+        op: &str,
+    ) -> Option<(SessionKey, protocol::Json)> {
         match (&env.id, env.version) {
             (Some(id), 2) => Some(((token, id.encode()), id.clone())),
             _ => {
@@ -637,8 +638,7 @@ impl LiveReactor {
                     compute_micros: response.result.compute_micros,
                 };
                 let frame = Response::SessionUpdate(Box::new(update));
-                if self.enqueue_session(token, &completion.key.1, &frame, &Envelope::v2(Some(id)))
-                {
+                if self.enqueue_session(token, &completion.key.1, &frame, &Envelope::v2(Some(id))) {
                     self.metrics.pushes.inc();
                     self.metrics
                         .push_us
@@ -655,7 +655,10 @@ impl LiveReactor {
                 let id = self.sessions.remove(&completion.key).map(|s| s.id);
                 self.enqueue_control(
                     token,
-                    &Response::Error(WireError::new(ErrorKind::of_service_error(&e), e.to_string())),
+                    &Response::Error(WireError::new(
+                        ErrorKind::of_service_error(&e),
+                        e.to_string(),
+                    )),
                     &Envelope::v2(id),
                 );
             }
@@ -686,7 +689,13 @@ impl LiveReactor {
             deadline: session.deadline,
         };
         let epoch = session.epoch;
-        self.spawn_update_solve(key.clone(), epoch, request, pending.count - 1, pending.since);
+        self.spawn_update_solve(
+            key.clone(),
+            epoch,
+            request,
+            pending.count - 1,
+            pending.since,
+        );
     }
 
     /// Encodes and queues a frame that belongs to no session (errors,

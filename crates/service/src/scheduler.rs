@@ -996,7 +996,7 @@ impl Scheduler {
         let mut live: Vec<(u128, Arc<LayoutResult>)> = Vec::new();
         self.cache.for_each(|digest, result| {
             let key = digest.as_u128();
-            if floor.map_or(true, |f| key > f) {
+            if floor.is_none_or(|f| key > f) {
                 live.push((key, result.clone()));
             }
         });

@@ -185,7 +185,9 @@ impl SessionTable {
         let before = self.sessions.len();
         self.sessions.retain(|(c, _), _| *c != conn);
         let dropped = before - self.sessions.len();
-        self.metrics.open.fetch_sub(dropped as u64, Ordering::Relaxed);
+        self.metrics
+            .open
+            .fetch_sub(dropped as u64, Ordering::Relaxed);
         dropped
     }
 
@@ -236,9 +238,11 @@ impl SessionMetrics {
     pub fn new(registry: &Registry) -> Arc<SessionMetrics> {
         let open = Arc::new(AtomicU64::new(0));
         let open_reader = open.clone();
-        registry.gauge_fn("sessions_open", "currently open live edit sessions", move || {
-            open_reader.load(Ordering::Relaxed)
-        });
+        registry.gauge_fn(
+            "sessions_open",
+            "currently open live edit sessions",
+            move || open_reader.load(Ordering::Relaxed),
+        );
         let idle = Arc::new(AtomicU64::new(0));
         let idle_reader = idle.clone();
         registry.gauge_fn(
@@ -366,14 +370,11 @@ impl OutboundQueue {
                 true
             }
         });
-        match self.per_session.get_mut(key) {
-            Some(count) => {
-                *count -= removed.min(*count);
-                if *count == 0 {
-                    self.per_session.remove(key);
-                }
+        if let Some(count) = self.per_session.get_mut(key) {
+            *count -= removed.min(*count);
+            if *count == 0 {
+                self.per_session.remove(key);
             }
-            None => {}
         }
         removed
     }
@@ -464,9 +465,30 @@ mod tests {
         let m = metrics();
         let mut table = SessionTable::new(m.clone());
         let now = Instant::now();
-        table.open((1, "a".into()), Json::Str("a".into()), spec(), 1.0, None, now);
-        table.open((1, "b".into()), Json::Str("b".into()), spec(), 1.0, None, now);
-        table.open((2, "a".into()), Json::Str("a".into()), spec(), 1.0, None, now);
+        table.open(
+            (1, "a".into()),
+            Json::Str("a".into()),
+            spec(),
+            1.0,
+            None,
+            now,
+        );
+        table.open(
+            (1, "b".into()),
+            Json::Str("b".into()),
+            spec(),
+            1.0,
+            None,
+            now,
+        );
+        table.open(
+            (2, "a".into()),
+            Json::Str("a".into()),
+            spec(),
+            1.0,
+            None,
+            now,
+        );
         assert_eq!(table.remove_conn(1), 2);
         assert_eq!(table.len(), 1);
         assert_eq!(m.open_count(), 1);
@@ -499,9 +521,23 @@ mod tests {
         let m = metrics();
         let mut table = SessionTable::new(m);
         let t0 = Instant::now();
-        table.open((1, "idle".into()), Json::Str("idle".into()), spec(), 1.0, None, t0);
+        table.open(
+            (1, "idle".into()),
+            Json::Str("idle".into()),
+            spec(),
+            1.0,
+            None,
+            t0,
+        );
         let t1 = t0 + Duration::from_secs(10);
-        table.open((1, "hot".into()), Json::Str("hot".into()), spec(), 1.0, None, t1);
+        table.open(
+            (1, "hot".into()),
+            Json::Str("hot".into()),
+            spec(),
+            1.0,
+            None,
+            t1,
+        );
         assert_eq!(table.idle_count(t1, Duration::from_secs(5)), 1);
         assert_eq!(table.idle_count(t1, Duration::ZERO), 2);
     }
@@ -572,17 +608,13 @@ mod tests {
     fn diff_layers_reports_changed_and_new_indices_only() {
         let old = vec![vec![0, 1], vec![2], vec![3]];
         let new = vec![vec![0, 1], vec![2, 4], vec![3], vec![5]];
-        assert_eq!(
-            diff_layers(&old, &new),
-            vec![(1, vec![2, 4]), (3, vec![5])]
-        );
+        assert_eq!(diff_layers(&old, &new), vec![(1, vec![2, 4]), (3, vec![5])]);
         // Pure truncation: nothing changed below the new height; the
         // frame's `height` member carries the removal.
         assert_eq!(diff_layers(&new, &new[..2]), vec![]);
-        assert_eq!(diff_layers(&[], &old), vec![
-            (0, vec![0, 1]),
-            (1, vec![2]),
-            (2, vec![3]),
-        ]);
+        assert_eq!(
+            diff_layers(&[], &old),
+            vec![(0, vec![0, 1]), (1, vec![2]), (2, vec![3]),]
+        );
     }
 }

@@ -93,7 +93,7 @@ fn request_of(
         }
         9 => Request::SessionClose,
         4 => Request::CachePull {
-            cursor: (seed % 2 == 0).then_some(Digest {
+            cursor: seed.is_multiple_of(2).then_some(Digest {
                 hi: base.0,
                 lo: base.1,
             }),
