@@ -24,9 +24,11 @@ use std::time::Instant;
 /// The provided [`solve`](Self::solve) suits single-pass algorithms:
 /// their one layering is the incumbent, so they ignore the deadline, an
 /// expired deadline still gets an answer, and `stopped_early` stays
-/// `false`. Searches that can use a clock or a warm start (the exact
-/// search, the colony, the portfolio) override `solve` and
-/// [`solve_seeded`](Self::solve_seeded) instead.
+/// `false`. Each of them runs to completion however long that takes.
+/// Searches that can use a clock or a warm start override `solve` (the
+/// exact search, the network simplex, the colony, the portfolio) and
+/// [`solve_seeded`](Self::solve_seeded) (the colony, the portfolio)
+/// instead.
 pub trait LayeringAlgorithm {
     /// Short human-readable name, used in reports ("LPL", "MinWidth", …).
     fn name(&self) -> &str;

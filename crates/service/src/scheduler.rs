@@ -14,9 +14,10 @@
 //!
 //! Jobs run on the crate-shared [`WorkerPool`]; each job computes once
 //! and fans the `Arc`ed result out to every attached caller. Requests
-//! carry an optional deadline measured from submission: the ACO colony
-//! receives it as an absolute instant and returns its anytime best when
-//! the clock runs out. Truncated runs are delivered but **not** cached,
+//! carry an optional deadline measured from submission: the solver
+//! receives it as an absolute instant, and the anytime ones (colony,
+//! exact, network simplex, portfolio) return their best so far when the
+//! clock runs out. Truncated runs are delivered but **not** cached,
 //! and deadline-bounded requests coalesce only with other bounded
 //! requests — a deadline must never poison what patient callers see,
 //! neither through the cache nor through a shared in-flight job.
@@ -137,12 +138,13 @@ pub struct LayoutRequest {
     pub algo: AlgoSpec,
     /// Dummy-vertex width of the width model.
     pub nd_width: f64,
-    /// Optional wall-clock budget, measured from submission. The colony
-    /// and the exact search stop at it; the portfolio checks it only
-    /// between members. The constructive algorithms ignore it and run to
-    /// completion however long that takes: `perfbench/README.md`
-    /// measures a 250-node portfolio request at 3–7× a 100 ms deadline,
-    /// mostly in `ns`.
+    /// Optional wall-clock budget, measured from submission. The colony,
+    /// the exact search and the network simplex (`ns`, also as a
+    /// portfolio member) stop at it and answer with their incumbent; the
+    /// portfolio also checks it between members. The single-pass
+    /// constructives (`lpl`, `minwidth`, their `-pl` variants, `cg`)
+    /// ignore it and run to completion however long that takes: the
+    /// `-pl` variants take seconds at 10⁴ nodes.
     pub deadline: Option<Duration>,
 }
 
@@ -512,7 +514,7 @@ impl Scheduler {
         );
         let colony_stopped_early = metrics.counter(
             "colony_stopped_early_total",
-            "ACO runs truncated by a deadline",
+            "layout results truncated by a deadline (colony, exact, ns, portfolio)",
         );
         let colony_seeded = metrics.counter(
             "colony_seeded_total",
