@@ -145,7 +145,10 @@ pub(crate) fn live(cfg: &Config) -> Result<(), String> {
     // idle sessions share the loop. A broken reactor (pushes queued
     // behind idle scans, frames lost to coalescing bugs) trips this.
     let latency_ok = p99 > 0 && p99 < 2_000_000;
-    check("update-to-push p99 at 10k idle sessions is sane (< 2 s)", latency_ok);
+    check(
+        "update-to-push p99 at 10k idle sessions is sane (< 2 s)",
+        latency_ok,
+    );
     let server_p99 = admin
         .stats()
         .ok()
@@ -171,7 +174,12 @@ pub(crate) fn live(cfg: &Config) -> Result<(), String> {
     let mut table = Table::new(&["phase", "metric", "value", "gate"]);
     let rows: Vec<(&str, &str, f64, String)> = vec![
         ("idle", "sessions", fleet_len_f(held), format!("== {IDLE}")),
-        ("idle", "open_gauge", open_gauge as f64, format!("== {IDLE}")),
+        (
+            "idle",
+            "open_gauge",
+            open_gauge as f64,
+            format!("== {IDLE}"),
+        ),
         ("idle", "open_secs", idle_secs, "info".into()),
         (
             "hot",

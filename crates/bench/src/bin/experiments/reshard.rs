@@ -149,8 +149,7 @@ pub(crate) fn reshard(cfg: &Config) -> Result<(), String> {
         report.good = tallies.good.load(Ordering::Relaxed);
         report.dropped = tallies.dropped.load(Ordering::Relaxed);
         report.rebased = tallies.rebased.load(Ordering::Relaxed);
-        report.warm_rate =
-            tallies.warm.load(Ordering::Relaxed) as f64 / report.good.max(1) as f64;
+        report.warm_rate = tallies.warm.load(Ordering::Relaxed) as f64 / report.good.max(1) as f64;
 
         // The working set again, after the last topology change: the
         // zero-loss claim is that nothing needs recomputing.
@@ -176,12 +175,14 @@ pub(crate) fn reshard(cfg: &Config) -> Result<(), String> {
     // ---- Phase 2: static baseline -----------------------------------
     let fixed = run(false)?;
     let static_ok = fixed.good == STEPS as u64 && fixed.dropped == 0 && fixed.recomputed == 0;
-    check("static baseline serves every step and re-request", static_ok);
+    check(
+        "static baseline serves every step and re-request",
+        static_ok,
+    );
 
     // ---- Phase 3: the elastic run under the seeded schedule ---------
     let elastic = run(true)?;
-    let sessions_ok =
-        elastic.good == STEPS as u64 && elastic.dropped == 0 && elastic.rebased == 0;
+    let sessions_ok = elastic.good == STEPS as u64 && elastic.dropped == 0 && elastic.rebased == 0;
     check(
         "edit sessions drop and rebase zero requests across joins, drains and delays",
         sessions_ok,
@@ -198,7 +199,10 @@ pub(crate) fn reshard(cfg: &Config) -> Result<(), String> {
     );
     let parity = (elastic.warm_rate - fixed.warm_rate).abs();
     let parity_ok = parity <= 0.05;
-    check("elastic warm-start rate within 0.05 of the static baseline", parity_ok);
+    check(
+        "elastic warm-start rate within 0.05 of the static baseline",
+        parity_ok,
+    );
 
     // ---- Report ------------------------------------------------------
     let mut table = Table::new(&["phase", "metric", "value", "gate"]);
@@ -221,7 +225,12 @@ pub(crate) fn reshard(cfg: &Config) -> Result<(), String> {
             "info".into(),
         ),
         ("elastic", "epoch", elastic.epoch as f64, "info".into()),
-        ("elastic", "good", elastic.good as f64, format!("== {STEPS}")),
+        (
+            "elastic",
+            "good",
+            elastic.good as f64,
+            format!("== {STEPS}"),
+        ),
         ("elastic", "dropped", elastic.dropped as f64, "== 0".into()),
         ("elastic", "rebased", elastic.rebased as f64, "== 0".into()),
         (

@@ -126,8 +126,7 @@ fn parse_args() -> Result<Options, String> {
                 o.profile.retries = value(&mut i)?.parse().map_err(|e| format!("{e}"))?
             }
             "--retry-budget" => {
-                o.profile.retry_budget =
-                    Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?)
+                o.profile.retry_budget = Some(value(&mut i)?.parse().map_err(|e| format!("{e}"))?)
             }
             "--transport" => o.transport = Transport::parse(&value(&mut i)?)?,
             "--router" => o.router = true,
@@ -239,8 +238,8 @@ fn run_live(o: &Options) {
 
     let idle = if o.idle > 0 {
         let t0 = Instant::now();
-        let fleet = IdleSessions::open(&live, &o.profile, o.idle, 100, 32)
-            .expect("idle sessions open");
+        let fleet =
+            IdleSessions::open(&live, &o.profile, o.idle, 100, 32).expect("idle sessions open");
         println!(
             "idle: {} sessions held open across {} distinct graphs in {:.3} s",
             fleet.len(),

@@ -562,10 +562,7 @@ mod tests {
                     FaultAction::Drain => {
                         assert!(active[e.shard], "drain targets an active shard");
                         active[e.shard] = false;
-                        assert!(
-                            active.iter().any(|&u| u),
-                            "one shard always stays active"
-                        );
+                        assert!(active.iter().any(|&u| u), "one shard always stays active");
                     }
                     FaultAction::Delay(ms) => {
                         assert!(active[e.shard], "delay targets an active shard");

@@ -51,7 +51,12 @@ fn join_then_drain_loses_no_cached_work() {
 
     // Warm a 12-request working set; each is a distinct graph.
     let set: Vec<_> = (0..12u64)
-        .map(|i| (base_graph(&profile, 0xA110 + i), profile.options(0xA110 + i)))
+        .map(|i| {
+            (
+                base_graph(&profile, 0xA110 + i),
+                profile.options(0xA110 + i),
+            )
+        })
         .collect();
     for (graph, options) in &set {
         let outcome = client.layout(graph, options).expect("warmup layout");

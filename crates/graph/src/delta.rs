@@ -129,7 +129,8 @@ impl GraphDelta {
     /// order, so composition is canonical regardless of arrival order
     /// within the burst.
     pub fn compose(&self, next: &GraphDelta) -> GraphDelta {
-        let mut net: std::collections::BTreeMap<(u32, u32), i32> = std::collections::BTreeMap::new();
+        let mut net: std::collections::BTreeMap<(u32, u32), i32> =
+            std::collections::BTreeMap::new();
         for delta in [self, next] {
             for &e in &delta.removed {
                 *net.entry(e).or_insert(0) -= 1;

@@ -103,8 +103,8 @@ use antlayer_service::digest::Digest;
 use antlayer_service::protocol::{
     self, CacheEntry, Envelope, ErrorKind, Json, Request, Response, WireError,
 };
-use antlayer_service::scheduler::LayoutRequest;
 use antlayer_service::router::{HashRing, ShardHealth};
+use antlayer_service::scheduler::LayoutRequest;
 use antlayer_service::server::SLOW_LOG_CAPACITY;
 use antlayer_service::transport::{FrontDoor, FrontDoorHandle, Handler};
 use parking_lot::Mutex;
@@ -719,8 +719,8 @@ fn route_line(line: &str, state: &RouterState, conns: &mut Vec<Option<Connection
     if state.slow_log.would_keep(total_us) {
         // Only now — for a request already known slow — is the reply
         // parsed for its trace member; fast requests never pay for it.
-        let remote = served_by
-            .and_then(|shard| extract_remote_span(&reply, &topo.slots[shard].health.addr));
+        let remote =
+            served_by.and_then(|shard| extract_remote_span(&reply, &topo.slots[shard].health.addr));
         state.slow_log.record(TraceEntry {
             id: env.correlation_id(),
             op,
@@ -952,9 +952,7 @@ fn replicate(
         .lock()
         .as_ref()
         .map(|t| t.target)
-        .filter(|&j| {
-            j != shard && j < topo.slots.len() && topo.ring.owner(digest.lo) == j
-        });
+        .filter(|&j| j != shard && j < topo.slots.len() && topo.ring.owner(digest.lo) == j);
     if state.replicas < 2 && dual.is_none() {
         return;
     }

@@ -1237,12 +1237,13 @@ fn parse_shard_addr(v: &Json, op: &str) -> Result<String, WireError> {
 /// a bounded page `limit`.
 fn parse_cache_pull(v: &Json) -> Result<(Option<Digest>, u64), WireError> {
     let invalid = |m: String| WireError::new(ErrorKind::InvalidRequest, m);
-    let cursor = match v.get("cursor") {
-        None => None,
-        Some(j) => Some(j.as_str().and_then(Digest::from_hex).ok_or_else(|| {
-            invalid("cache_pull: 'cursor' must be a 32-hex-digit digest".into())
-        })?),
-    };
+    let cursor =
+        match v.get("cursor") {
+            None => None,
+            Some(j) => Some(j.as_str().and_then(Digest::from_hex).ok_or_else(|| {
+                invalid("cache_pull: 'cursor' must be a 32-hex-digit digest".into())
+            })?),
+        };
     // The cap bounds one page's response size the way MAX_DELTA_EDITS
     // bounds one delta's work: a transfer never buys unbounded encoding
     // on the connection thread.
@@ -2506,13 +2507,18 @@ mod tests {
     fn cache_put_validation_errors() {
         let hex = "0123456789abcdef0123456789abcdef";
         for (line, needle) in [
-            (r#"{"op":"cache_put","nodes":2,"layers":[[0]]}"#.to_string(), "missing 'digest'"),
+            (
+                r#"{"op":"cache_put","nodes":2,"layers":[[0]]}"#.to_string(),
+                "missing 'digest'",
+            ),
             (
                 format!(r#"{{"op":"cache_put","digest":"{hex}","nodes":2,"layers":[[5]]}}"#),
                 "bad layer node id",
             ),
             (
-                format!(r#"{{"op":"cache_put","digest":"{hex}","nodes":2,"edges":[[0,9]],"layers":[[0],[1]]}}"#),
+                format!(
+                    r#"{{"op":"cache_put","digest":"{hex}","nodes":2,"edges":[[0,9]],"layers":[[0],[1]]}}"#
+                ),
                 "out of range",
             ),
             (
@@ -2539,8 +2545,7 @@ mod tests {
         assert_eq!(cursor, Some(Digest { hi: 3, lo: 9 }));
         assert_eq!(limit, 32);
         // Absent cursor/limit take the documented defaults.
-        let Request::CachePull { cursor, limit } =
-            parse_request(r#"{"op":"cache_pull"}"#).unwrap()
+        let Request::CachePull { cursor, limit } = parse_request(r#"{"op":"cache_pull"}"#).unwrap()
         else {
             panic!("expected cache_pull");
         };
