@@ -7,7 +7,7 @@
 //! artifact the durability experiment gates on). A [`FaultFleet`] is the
 //! thing the plan runs against: real `antlayer serve` processes-in-
 //! threads on real sockets, each with its own segment-log directory,
-//! where *kill* is [`ServerHandle::shutdown`] — accept loops stopped,
+//! where *kill* is [`ServerHandle::shutdown`] — listeners closed and
 //! live connections severed, exactly what clients and routers observe
 //! when a shard dies — and *restart* re-binds the **same** address over
 //! the **same** cache directory, so a revived shard proves it can serve
@@ -38,7 +38,7 @@ use std::time::Duration;
 /// What a fault event does to its shard.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum FaultAction {
-    /// Shut the shard down (accept loops stopped, connections severed).
+    /// Shut the shard down (listeners closed, connections severed).
     Kill,
     /// Re-bind the shard on its original address and cache directory.
     Restart,
@@ -359,8 +359,8 @@ impl FaultFleet {
         self.shards[i].handle.as_ref().map(|h| h.scheduler())
     }
 
-    /// Kills shard `i` — real shutdown semantics: accept loops stopped
-    /// and live connections severed, so clients and routers observe the
+    /// Kills shard `i` — real shutdown semantics: listeners closed and
+    /// live connections severed, so clients and routers observe the
     /// same EOF/reset a crashed process would give them. Idempotent.
     pub fn kill(&mut self, i: usize) {
         if let Some(handle) = self.shards[i].handle.take() {

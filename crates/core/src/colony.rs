@@ -28,7 +28,7 @@
 //! rows that receive deposits. Evaporation and clamping touch only the
 //! stored trail couplings, not all `V × H`.
 //! Deadlines are checked *between walks*, not just between tours, so a
-//! budget can interrupt a long tour on large graphs
+//! deadline can interrupt a long tour on large graphs
 //! ([`ColonyRun::stopped_early`]).
 
 use crate::stretch::stretch;
@@ -394,11 +394,9 @@ impl<'a> Colony<'a> {
         Some(stats)
     }
 
-    /// Runs the layering phase: `n_tours` tours, bounded by
-    /// [`AcoParams::time_budget`] when one is set. Returns the best
+    /// Runs the layering phase: all `n_tours` tours. Returns the best
     /// layering (normalized) with metrics and per-tour statistics.
     pub fn run(self) -> ColonyRun {
-        // `run_until` applies the params' time budget itself.
         self.run_until(None)
     }
 
@@ -410,8 +408,7 @@ impl<'a> Colony<'a> {
     /// best-so-far layering is returned with [`ColonyRun::stopped_early`]
     /// set. An already-expired deadline runs zero walks and yields the
     /// stretched-LPL seed state, which is always a valid layering. `None`
-    /// never stops early. When both `deadline` and
-    /// [`AcoParams::time_budget`] apply, the earlier one wins.
+    /// never stops early.
     pub fn run_until(mut self, deadline: Option<Instant>) -> ColonyRun {
         if self.dag.node_count() == 0 {
             return ColonyRun {
@@ -434,16 +431,6 @@ impl<'a> Colony<'a> {
             };
         }
         let started = Instant::now();
-        // `checked_add` turns an overflow-sized budget (`Duration::MAX`
-        // as a spelling of "unbounded") into no deadline, not a panic.
-        let budget_deadline = self
-            .params
-            .time_budget
-            .and_then(|budget| Instant::now().checked_add(budget));
-        let deadline = match (deadline, budget_deadline) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
         let mut tours = Vec::with_capacity(self.params.n_tours);
         let mut stopped_early = false;
         let mut matched_seed_early = false;
@@ -914,21 +901,6 @@ mod tests {
     }
 
     #[test]
-    fn zero_time_budget_returns_valid_seed_layering() {
-        // Anytime contract: an already-spent budget runs zero walks and
-        // hands back the (normalized) stretched-LPL seed.
-        let mut rng = StdRng::seed_from_u64(31);
-        let dag = generate::random_dag_with_edges(25, 40, &mut rng);
-        let wm = WidthModel::unit();
-        let params = small_params().with_time_budget(Some(std::time::Duration::ZERO));
-        let run = AcoLayering::new(params).run(&dag, &wm);
-        run.layering.validate(&dag).unwrap();
-        assert!(run.stopped_early);
-        assert!(run.tours.is_empty());
-        assert!(run.objective > 0.0);
-    }
-
-    #[test]
     fn expired_deadline_stops_before_any_tour() {
         let mut rng = StdRng::seed_from_u64(32);
         let dag = generate::gnp_dag(20, 0.15, &mut rng);
@@ -938,6 +910,7 @@ mod tests {
         run.layering.validate(&dag).unwrap();
         assert!(run.stopped_early);
         assert!(run.tours.is_empty());
+        assert!(run.objective > 0.0);
     }
 
     #[test]
@@ -960,17 +933,15 @@ mod tests {
 
     #[test]
     fn deadline_shorter_than_one_tour_interrupts_mid_tour() {
-        // A budget far smaller than one tour's wall time must not wait for
-        // the tour boundary: zero tours complete, yet the result is the
-        // valid seed layering (anytime contract on large graphs).
+        // A deadline far sooner than one tour's wall time must not wait
+        // for the tour boundary: zero tours complete, yet the result is
+        // the valid seed layering (anytime contract on large graphs).
         let mut rng = StdRng::seed_from_u64(37);
         let dag = generate::layered_dag(500, 60, 0.02, 2, &mut rng);
         let wm = WidthModel::unit();
-        let params = AcoParams::default()
-            .with_colony(8, 4)
-            .with_seed(3)
-            .with_time_budget(Some(std::time::Duration::from_micros(200)));
-        let run = AcoLayering::new(params).run(&dag, &wm);
+        let params = AcoParams::default().with_colony(8, 4).with_seed(3);
+        let colony = Colony::new(&dag, &wm, params).unwrap();
+        let run = colony.run_until(Some(Instant::now() + std::time::Duration::from_micros(200)));
         assert!(run.stopped_early);
         assert!(
             run.tours.is_empty(),
@@ -993,20 +964,9 @@ mod tests {
     fn generous_budget_completes_all_tours() {
         let mut rng = StdRng::seed_from_u64(34);
         let dag = generate::gnp_dag(12, 0.2, &mut rng);
-        let params = small_params().with_time_budget(Some(std::time::Duration::from_secs(3600)));
-        let run = AcoLayering::new(params).run(&dag, &WidthModel::unit());
-        assert!(!run.stopped_early);
-        assert_eq!(run.tours.len(), small_params().n_tours);
-    }
-
-    #[test]
-    fn overflow_sized_budget_is_treated_as_unbounded() {
-        // `Duration::MAX` would overflow `Instant + Duration`; the colony
-        // must run unbounded instead of panicking.
-        let mut rng = StdRng::seed_from_u64(35);
-        let dag = generate::gnp_dag(10, 0.2, &mut rng);
-        let params = small_params().with_time_budget(Some(std::time::Duration::MAX));
-        let run = AcoLayering::new(params).run(&dag, &WidthModel::unit());
+        let wm = WidthModel::unit();
+        let colony = Colony::new(&dag, &wm, small_params()).unwrap();
+        let run = colony.run_until(Some(Instant::now() + std::time::Duration::from_secs(3600)));
         assert!(!run.stopped_early);
         assert_eq!(run.tours.len(), small_params().n_tours);
     }

@@ -154,16 +154,6 @@ pub struct AcoParams {
     /// layers of width zero (DESIGN.md §4). `None` derives the floor from
     /// the dummy width.
     pub eta_floor: Option<f64>,
-    /// Wall-clock budget for the layering phase (anytime ACO). The colony
-    /// checks the clock between tours and stops once the budget is spent,
-    /// returning the best layering found so far — with a zero budget that
-    /// is the stretched-LPL seed state, which is always valid. `None` runs
-    /// all `n_tours` tours.
-    ///
-    /// The budget is quality-of-service, not identity: the serving layer
-    /// (`antlayer-service`) deliberately excludes it from the cache digest
-    /// and refuses to cache runs that were cut short.
-    pub time_budget: Option<std::time::Duration>,
     /// Early-stop rule for warm-started runs (`Colony::run_seeded`):
     /// once a *full* tour re-derives the installed incumbent's quality
     /// without the run ever having beaten it, the remaining tours are
@@ -173,15 +163,15 @@ pub struct AcoParams {
     /// interrupted by a deadline never trigger it (they report
     /// `stopped_early` instead), and a tour that *beats* the incumbent
     /// keeps the search running — only confirmed "the seed already holds
-    /// up" runs hand their budget back. Cold runs are unaffected. Like
-    /// the time budget, this is quality-of-service, not identity: it is
-    /// excluded from the serving layer's cache digest.
+    /// up" runs hand their budget back. Cold runs are unaffected. This
+    /// is quality-of-service, not identity: it is excluded from the
+    /// serving layer's cache digest.
     pub warm_early_stop: bool,
     /// Maximum points of the convergence trajectory a run records
     /// ([`ColonyRun::trajectory`](crate::ColonyRun)): the seed state plus
     /// one point per incumbent improvement, capped here so telemetry
     /// cost stays bounded on long runs. `0` disables recording entirely.
-    /// Pure observability, not identity: like the time budget, it is
+    /// Pure observability, not identity: like the warm early stop, it is
     /// excluded from the serving layer's cache digest and never changes
     /// which layering a run returns.
     pub trajectory_cap: usize,
@@ -206,7 +196,6 @@ impl Default for AcoParams {
             threads: 1,
             target_layers: None,
             eta_floor: None,
-            time_budget: None,
             warm_early_stop: true,
             trajectory_cap: 64,
         }
@@ -242,13 +231,6 @@ impl AcoParams {
     /// Sets the worker thread count (chainable; `0` = all available).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the wall-clock budget of the layering phase (chainable;
-    /// `None` = unbounded).
-    pub fn with_time_budget(mut self, budget: Option<std::time::Duration>) -> Self {
-        self.time_budget = budget;
         self
     }
 
@@ -380,14 +362,6 @@ mod tests {
         }
         .validate()
         .is_err());
-    }
-
-    #[test]
-    fn time_budget_builder_and_default() {
-        assert_eq!(AcoParams::default().time_budget, None);
-        let p = AcoParams::new().with_time_budget(Some(std::time::Duration::from_millis(25)));
-        assert_eq!(p.time_budget, Some(std::time::Duration::from_millis(25)));
-        assert!(p.validate().is_ok());
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! # antlayer-reactor
 //!
 //! A minimal, zero-dependency readiness reactor over Linux `epoll`: the
-//! event loop under `antlayer serve --live`. The thread-per-connection
-//! listeners in `antlayer-service` are the right shape for
-//! request/response traffic, but a session tier holding tens of
-//! thousands of mostly-idle subscriptions cannot spend a thread per
-//! socket — it needs one thread parked in `epoll_wait`, woken only by
-//! the sockets (or solve completions) that have something to say.
+//! event loop under every `antlayer serve` and `antlayer route`
+//! process. One thread parked in `epoll_wait` owns every listener and
+//! connection (line, HTTP and live sessions alike), woken only by the
+//! sockets (or finished requests and solves) that have something to
+//! say — a session tier holding tens of thousands of mostly-idle
+//! subscriptions cannot spend a thread per socket.
 //!
 //! The crate deliberately stays tiny:
 //!
@@ -17,12 +17,12 @@
 //! * [`Waker`] — a self-pipe (a nonblocking `UnixStream` pair) whose
 //!   read end is registered like any other fd; any thread calls
 //!   [`Waker::wake`] to pop the reactor out of `epoll_wait`. This is
-//!   how solve-completion threads hand results back to the loop.
+//!   how request and solve threads hand results back to the loop.
 //!
 //! This is the only crate in the workspace that speaks `unsafe`: the
 //! four raw `epoll` syscalls, declared against the libc every Rust
-//! binary already links. Everything above it (`antlayer-service`'s live
-//! listener included) keeps `#![forbid(unsafe_code)]`.
+//! binary already links. Everything above it (`antlayer-service`'s
+//! front door included) keeps `#![forbid(unsafe_code)]`.
 //!
 //! Level-triggered on purpose: a readiness the handler does not fully
 //! drain is simply reported again on the next wait, which makes the
@@ -96,8 +96,9 @@ pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
     Ok(())
 }
 
-/// Which readiness a registration asks for. Error and hangup conditions
-/// are always reported; they cannot be masked.
+/// Which readiness a registration asks for. Errors and full hangups are
+/// always reported; they cannot be masked. A peer's half-close is
+/// reported only with read interest.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Interest {
     /// Report when the fd is readable.
@@ -125,10 +126,14 @@ impl Interest {
         writable: true,
     };
 
+    /// Peer half-close (`EPOLLRDHUP`) is asked for only with read
+    /// interest: a connection that has stopped reading (it saw EOF, or
+    /// is waiting on an answer) would otherwise be reported on every
+    /// wait.
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;
@@ -146,9 +151,10 @@ pub struct Event {
     pub readable: bool,
     /// The fd can take more bytes.
     pub writable: bool,
-    /// The peer closed or the fd errored; the connection is done.
-    /// (`EPOLLERR | EPOLLHUP | EPOLLRDHUP` folded into one flag — the
-    /// reactor tears the connection down the same way for all three.)
+    /// The peer closed (or, under read interest, half-closed) or the
+    /// fd errored (`EPOLLERR | EPOLLHUP | EPOLLRDHUP` folded into one
+    /// flag). A half-closed peer may still be waiting for replies;
+    /// reading tells the cases apart.
     pub hangup: bool,
 }
 

@@ -15,14 +15,16 @@
 //! would speak to a single server (`docs/PROTOCOL.md`), over either
 //! client-facing framing — newline-delimited TCP ([`RouterConfig::addr`])
 //! or HTTP/1.1 `POST /v2` ([`RouterConfig::http_addr`], `antlayer route
-//! --http PORT`). Both listeners sit behind the same
-//! [`FrontDoor`] a server uses — one accept loop, one connection cap
-//! ([`RouterConfig::max_connections`]), one sever-on-shutdown — so the
-//! router adds only the handler each admitted connection gets. That
-//! handler parses each request just enough to pick a routing key,
+//! --http PORT`). Both listeners sit on the same
+//! [`FrontDoor`] a server uses — one epoll loop thread, one connection
+//! cap ([`RouterConfig::max_connections`]), one shutdown path — so the
+//! router adds only the handler each admitted connection gets. The
+//! loop hands each request to that handler on a short-lived thread. The
+//! handler parses the request just enough to pick a routing key,
 //! forwards the original payload verbatim over its line-TCP upstream
 //! connections (one [`antlayer_client::Connection`] per shard per
-//! client connection), and relays the shard's reply:
+//! client connection, kept for the connection's life), and relays the
+//! shard's reply:
 //!
 //! * `layout` routes by the request's canonical digest, so identical
 //!   requests always land on the same shard — fleet-wide hit rate
@@ -508,14 +510,14 @@ impl Router {
     }
 
     /// Serves until the process exits: [`spawn`](Router::spawn), then
-    /// block on the accept loops.
+    /// block on the loop.
     pub fn run(self) -> std::io::Result<()> {
         let mut handle = self.spawn()?;
         handle.door.wait();
         Ok(())
     }
 
-    /// Runs the router on background threads (accept loops + reconnect
+    /// Runs the router on background threads (the loop + reconnect
     /// probe) and returns a handle.
     pub fn spawn(self) -> std::io::Result<RouterHandle> {
         let shutdown = self.door.shutdown_flag();
@@ -549,7 +551,7 @@ impl RouterHandle {
         self.door.http_addr()
     }
 
-    /// Stops the accept and probe threads, severs live client
+    /// Stops the loop and probe threads, closes live client
     /// connections, and joins everything.
     pub fn shutdown(mut self) {
         self.stop();

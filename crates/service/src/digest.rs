@@ -16,7 +16,7 @@
 //!   the cache targets; graph-isomorphism-strength keys would cost more
 //!   than a cache miss.
 //! * **No deadline.** The request deadline is quality-of-service, not
-//!   identity (see `AcoParams::time_budget`); digests of a request with
+//!   identity (see `LayoutRequest::deadline`); digests of a request with
 //!   and without a deadline are equal, and the scheduler refuses to cache
 //!   deadline-truncated runs instead.
 
@@ -281,8 +281,8 @@ fn write_aco_params(h: &mut CanonicalHasher, p: &AcoParams) {
     }
     h.write_opt_u64(p.target_layers.map(|t| t as u64));
     h.write_opt_u64(p.eta_floor.map(f64::to_bits));
-    // time_budget intentionally omitted: QoS, not identity. threads
-    // likewise — the colony is deterministic under any thread count.
+    // threads intentionally omitted: QoS, not identity — the colony
+    // is deterministic under any thread count.
     // trajectory_cap likewise: convergence telemetry never changes
     // which layering a run returns.
 }
@@ -351,9 +351,7 @@ mod tests {
         let graph = g(4, &[(0, 1), (1, 2), (2, 3)]);
         let wm = WidthModel::unit();
         let p1 = AcoParams::default().with_threads(1);
-        let p2 = AcoParams::default()
-            .with_threads(8)
-            .with_time_budget(Some(std::time::Duration::from_millis(5)));
+        let p2 = AcoParams::default().with_threads(8);
         assert_eq!(
             request_digest(&graph, "aco", Some(&p1), &wm),
             request_digest(&graph, "aco", Some(&p2), &wm)

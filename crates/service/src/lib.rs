@@ -15,8 +15,8 @@
 //! | durability | [`persist`] | append-only [`SegmentLog`]: checksummed records, replay on boot, snapshot compaction |
 //! | compute | [`scheduler`] | [`Scheduler`]: digest dedup, admission control, deadline-bounded fan-out over the worker pool |
 //! | protocol | [`protocol`] | the typed codec: v1/v2 envelopes, [`protocol::Request`]/[`protocol::Response`]/[`protocol::ErrorKind`] |
-//! | transport | [`transport`], [`server`] | framing ([`transport::Transport`]: line TCP + hand-rolled HTTP/1.1), the [`transport::FrontDoor`] (accept, connection cap, sever) server and router share, [`Server`] + [`ServerHandle`] |
-//! | sessions | [`session`], [`live`] | streaming edit sessions: [`SessionTable`] + [`OutboundQueue`] state, the epoll [`LiveReactor`] that pushes `session_update` frames |
+//! | transport | [`transport`], [`server`] | the [`transport::FrontDoor`] server and router share: one epoll loop per process owning every listener (accept, connection cap, shutdown) and framing every connection (line TCP, hand-rolled HTTP/1.1, live); [`Server`] + [`ServerHandle`] |
+//! | sessions | [`session`], [`live`] | streaming edit sessions: [`SessionTable`] + [`OutboundQueue`] state, and the live tier on the loop that pushes `session_update` frames |
 //! | topology | [`router`] | consistent-hash [`HashRing`] + shard health, shared with the `antlayer-router` crate |
 //!
 //! Edits are first-class: a `layout_delta` request
@@ -30,9 +30,8 @@
 //! cold searches.
 //!
 //! Deadlines plug into the colony's anytime mode
-//! ([`AcoParams::time_budget`](antlayer_aco::AcoParams::time_budget) /
-//! [`Colony::run_until`](antlayer_aco::Colony::run_until)): when the
-//! budget expires mid-search the best layering so far is returned —
+//! ([`Colony::run_until`](antlayer_aco::Colony::run_until)): when the
+//! deadline passes mid-search the best layering so far is returned —
 //! valid by construction — and deliberately **not** cached, so impatient
 //! callers never degrade what patient callers see.
 //!
@@ -88,7 +87,7 @@ pub mod transport;
 
 pub use cache::{CacheCounters, ShardedCache};
 pub use digest::{request_digest, CanonicalHasher, Digest};
-pub use live::{LiveReactor, LiveStopper, LiveTuning};
+pub use live::LiveTuning;
 pub use persist::{ReplayReport, SegmentLog};
 pub use protocol::{CacheEntry, Envelope, ErrorKind, LayoutReply, Request, Response, WireError};
 pub use router::{HashRing, ShardHealth};
@@ -98,4 +97,4 @@ pub use scheduler::{
 };
 pub use server::{Server, ServerConfig, ServerHandle, ServiceCore, SLOW_LOG_CAPACITY};
 pub use session::{OutboundQueue, SessionMetrics, SessionTable};
-pub use transport::{Handler, HttpTransport, LineTransport, Transport};
+pub use transport::Handler;

@@ -1,21 +1,21 @@
 //! The layout server: who answers the requests that arrive through
 //! the shared [`FrontDoor`].
 //!
-//! Two listeners can serve the same scheduler side by side: the
+//! Up to three listeners serve the same scheduler side by side: the
 //! line-delimited TCP listener ([`ServerConfig::addr`], the original
-//! wire) and an optional HTTP/1.1 listener ([`ServerConfig::http_addr`],
-//! `antlayer serve --http PORT`) speaking `POST /v2` — see
-//! [`crate::transport`]. Both sit behind one [`FrontDoor`], which owns
-//! accept, the connection cap ([`ServerConfig::max_connections`]) and
-//! the sever-on-shutdown; every connection it admits is answered by the
-//! one [`ServiceCore`]. Requests on one connection are pipelined: the
-//! handler reads, submits to the shared [`Scheduler`], and blocks on
-//! the ticket — concurrency across connections comes from the
-//! scheduler's worker pool, which also gives digest-level dedup across
-//! clients for free. The optional live listener
-//! ([`ServerConfig::live_addr`]) runs on its own reactor instead.
+//! wire), an optional HTTP/1.1 listener ([`ServerConfig::http_addr`],
+//! `antlayer serve --http PORT`) speaking `POST /v2`, and an optional
+//! live listener ([`ServerConfig::live_addr`]) for streaming edit
+//! sessions. All three sit on the one loop thread of a [`FrontDoor`]
+//! (see [`crate::transport`]), which owns accept, the connection cap
+//! ([`ServerConfig::max_connections`]) and shutdown. Every line or HTTP
+//! request is answered by the one [`ServiceCore`] on a short-lived
+//! thread that submits to the shared [`Scheduler`] and blocks on the
+//! ticket — concurrency across connections comes from the scheduler's
+//! worker pool, which also gives digest-level dedup across clients for
+//! free. Live frames go to [`crate::live`].
 
-use crate::live::{LiveReactor, LiveStopper, LiveTuning};
+use crate::live::{LiveTier, LiveTuning};
 use crate::protocol::{self, ErrorKind, Json, Request, Response, WireError};
 use crate::scheduler::{Scheduler, SchedulerConfig, ServiceError, Source};
 use crate::transport::{FrontDoor, FrontDoorHandle, Handler};
@@ -24,7 +24,6 @@ use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Slowest requests retained for the `debug` op. Small and fixed: the
@@ -41,9 +40,9 @@ pub struct ServerConfig {
     /// Optional address of the HTTP/1.1 listener (`POST /v2`); `None`
     /// serves line-delimited TCP only.
     pub http_addr: Option<String>,
-    /// Optional address of the live (reactor) listener serving
-    /// streaming edit sessions (`antlayer serve --live PORT`). Unlike
-    /// the other listeners its connections cost no thread and do not
+    /// Optional address of the live listener serving streaming edit
+    /// sessions (`antlayer serve --live PORT`). It shares the loop
+    /// thread with the other listeners, but its connections do not
     /// count against [`max_connections`](Self::max_connections).
     pub live_addr: Option<String>,
     /// Tuning for the live tier (per-session outbound queue cap before
@@ -372,17 +371,15 @@ fn error_response(e: &ServiceError) -> Response {
 /// A bound, not-yet-running server.
 pub struct Server {
     door: FrontDoor,
-    live_listener: Option<TcpListener>,
-    live_tuning: LiveTuning,
+    live_addr: Option<SocketAddr>,
     core: Arc<ServiceCore>,
 }
 
-/// Handle to a server running on background threads; dropping it shuts
-/// the server down.
+/// Handle to a server running on its loop thread; dropping it shuts the
+/// server down.
 pub struct ServerHandle {
     door: FrontDoorHandle,
     live_addr: Option<SocketAddr>,
-    live: Option<(LiveStopper, JoinHandle<()>)>,
     core: Arc<ServiceCore>,
 }
 
@@ -406,7 +403,7 @@ impl Server {
     /// handle.shutdown();
     /// ```
     pub fn bind(config: ServerConfig) -> std::io::Result<Server> {
-        let door = FrontDoor::bind(
+        let mut door = FrontDoor::bind(
             &config.addr,
             config.http_addr.as_deref(),
             config.max_connections,
@@ -415,11 +412,20 @@ impl Server {
             Some(addr) => Some(TcpListener::bind(addr)?),
             None => None,
         };
+        let live_addr = live_listener.as_ref().and_then(|l| l.local_addr().ok());
+        let core = Arc::new(ServiceCore::new(Arc::new(Scheduler::new(config.scheduler))));
+        if let Some(listener) = live_listener {
+            let tier = LiveTier::new(
+                core.scheduler().clone(),
+                core.session_metrics().clone(),
+                config.live_tuning,
+            );
+            door.serve_live(listener, tier);
+        }
         Ok(Server {
             door,
-            live_listener,
-            live_tuning: config.live_tuning,
-            core: Arc::new(ServiceCore::new(Arc::new(Scheduler::new(config.scheduler)))),
+            live_addr,
+            core,
         })
     }
 
@@ -433,11 +439,9 @@ impl Server {
         self.door.http_addr()
     }
 
-    /// The actually-bound live (reactor) address, when one exists.
+    /// The actually-bound live address, when one exists.
     pub fn live_addr(&self) -> Option<SocketAddr> {
-        self.live_listener
-            .as_ref()
-            .and_then(|l| l.local_addr().ok())
+        self.live_addr
     }
 
     /// The shared scheduler (for in-process inspection).
@@ -446,40 +450,22 @@ impl Server {
     }
 
     /// Serves until the process exits: [`spawn`](Server::spawn), then
-    /// block on the accept loops.
+    /// block on the loop.
     pub fn run(self) -> std::io::Result<()> {
         let mut handle = self.spawn()?;
         handle.door.wait();
         Ok(())
     }
 
-    /// Runs the server on background threads and returns a handle.
+    /// Runs the server on its loop thread and returns a handle.
     pub fn spawn(self) -> std::io::Result<ServerHandle> {
-        let live_addr = self.live_addr();
         let core = self.core.clone();
         let door = self
             .door
             .spawn("antlayer-serve", move || CoreHandler { core: core.clone() })?;
-        let live = match self.live_listener {
-            Some(listener) => {
-                let reactor = LiveReactor::new(
-                    listener,
-                    self.core.scheduler().clone(),
-                    self.core.session_metrics().clone(),
-                    self.live_tuning,
-                )?;
-                let stopper = reactor.stopper();
-                let thread = std::thread::Builder::new()
-                    .name("antlayer-serve-live".into())
-                    .spawn(move || reactor.run())?;
-                Some((stopper, thread))
-            }
-            None => None,
-        };
         Ok(ServerHandle {
             door,
-            live_addr,
-            live,
+            live_addr: self.live_addr,
             core: self.core,
         })
     }
@@ -496,7 +482,7 @@ impl ServerHandle {
         self.door.http_addr()
     }
 
-    /// The server's live (reactor) address, when one is serving.
+    /// The server's live address, when one is serving.
     pub fn live_addr(&self) -> Option<SocketAddr> {
         self.live_addr
     }
@@ -515,28 +501,13 @@ impl ServerHandle {
         self.core.set_respond_delay(delay);
     }
 
-    /// Stops the accept loops, severs every live connection, stops the
-    /// live reactor, and joins the server threads. After this returns,
-    /// the process answers nothing on its ports — clients (and routers)
-    /// observe EOF/reset, exactly like a crashed shard, which is what
-    /// failover tests and fleet health checks rely on.
+    /// Stops the loop, which closes every listener and connection, and
+    /// joins it. After this returns, the process answers nothing on its
+    /// ports — clients (and routers) observe EOF/reset, exactly like a
+    /// crashed shard, which is what failover tests and fleet health
+    /// checks rely on.
     pub fn shutdown(mut self) {
-        self.stop();
-    }
-
-    fn stop(&mut self) {
         self.door.stop();
-        // The reactor has its own waker; its stopper makes run() return.
-        if let Some((stopper, thread)) = self.live.take() {
-            stopper.stop();
-            let _ = thread.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop();
     }
 }
 

@@ -1,11 +1,11 @@
-//! Live-session bookkeeping for the reactor listener: who is
-//! subscribed, what version they have seen, what edits are waiting, and
-//! how much output they have not drained yet.
+//! Live-session bookkeeping for the live listener: who is subscribed,
+//! what version they have seen, what edits are waiting, and how much
+//! output they have not drained yet.
 //!
-//! The reactor loop in [`crate::live`] owns one [`SessionTable`] and one
-//! [`OutboundQueue`] per connection. Everything here is plain
-//! single-threaded state — the reactor thread is the only writer — so
-//! the structures carry no locks. The interesting invariants:
+//! The live tier in [`crate::live`] owns the [`SessionTable`]; the loop
+//! in [`crate::transport`] owns one [`OutboundQueue`] per connection.
+//! Everything here is plain single-threaded state — the loop thread is
+//! the only writer — so the structures carry no locks. The interesting invariants:
 //!
 //! * **Versions are per-session and strictly monotonic.** The base
 //!   layout is version 0; every pushed `session_update` increments by
