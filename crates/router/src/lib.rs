@@ -19,7 +19,7 @@
 //! [`FrontDoor`] a server uses — one epoll loop thread, one connection
 //! cap ([`RouterConfig::max_connections`]), one shutdown path — so the
 //! router adds only the handler each admitted connection gets. The
-//! loop hands each request to that handler on a short-lived thread. The
+//! loop hands each request to that handler on a runner thread. The
 //! handler parses the request just enough to pick a routing key,
 //! forwards the original payload verbatim over its line-TCP upstream
 //! connections (one [`antlayer_client::Connection`] per shard per

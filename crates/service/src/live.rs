@@ -10,7 +10,7 @@
 //! pushed.
 //!
 //! Solves never run on the loop thread. `session_open` and
-//! `session_delta` each start a short-lived thread that submits to the
+//! `session_delta` each hand a runner thread a solve that submits to the
 //! shared [`Scheduler`] (whose worker pool does the actual compute),
 //! waits out the ticket, and posts a completion back to the loop. The
 //! tier folds the completion back into the session — version bump,

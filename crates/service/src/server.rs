@@ -9,8 +9,8 @@
 //! sessions. All three sit on the one loop thread of a [`FrontDoor`]
 //! (see [`crate::transport`]), which owns accept, the connection cap
 //! ([`ServerConfig::max_connections`]) and shutdown. Every line or HTTP
-//! request is answered by the one [`ServiceCore`] on a short-lived
-//! thread that submits to the shared [`Scheduler`] and blocks on the
+//! request is answered by the one [`ServiceCore`] on a runner thread
+//! that submits to the shared [`Scheduler`] and blocks on the
 //! ticket — concurrency across connections comes from the scheduler's
 //! worker pool, which also gives digest-level dedup across clients for
 //! free. Live frames go to [`crate::live`].

@@ -21,9 +21,10 @@
 //! state machine: an inbound buffer that assembles frames across any
 //! number of reads, and an outbound queue written as the socket takes
 //! it. The loop never runs a request: a line or HTTP payload goes to a
-//! short-lived thread that calls the connection's [`Handler`] (made once
-//! per connection) and posts the reply back through a channel plus a
-//! [`Waker`], as live solves do. A connection reads and parses nothing
+//! runner thread that calls the connection's [`Handler`] (made once per
+//! connection) and posts the reply back through a channel plus a
+//! [`Waker`], as live solves do. Runners are reused while work keeps
+//! coming and exit when idle; none belongs to a connection. A connection reads and parses nothing
 //! further until its reply is written, so pipelined requests are
 //! answered in order, a client that sends without reading is pushed
 //! back on, and one that half-closes still gets every complete request
@@ -37,13 +38,15 @@
 use crate::live::{Completion, LiveTier, IDLE_SCAN_PERIOD};
 use crate::session::OutboundQueue;
 use antlayer_reactor::{Event, Interest, Poller, Waker};
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// Longest accepted request (line or HTTP body). Generous — a
 /// million-node graph with 1.5M edges encodes to ~25 MB — but bounded,
@@ -480,6 +483,61 @@ pub(crate) struct Conns {
     map: HashMap<u64, Conn>,
     waker: Arc<Waker>,
     tx: mpsc::Sender<Done>,
+    runners: Runners,
+}
+
+/// A task for a runner thread.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// How long a runner thread waits for another task before it exits.
+const RUNNER_IDLE: Duration = Duration::from_secs(1);
+
+/// The threads that run requests and solves off the loop. A waiting
+/// runner takes the next task; when none is waiting a new one starts,
+/// and one that waits [`RUNNER_IDLE`] for nothing exits. No thread
+/// belongs to a connection and a quiet process keeps none, yet a busy
+/// one does not pay a thread start per request.
+struct Runners {
+    tx: mpsc::Sender<Task>,
+    rx: Arc<Mutex<mpsc::Receiver<Task>>>,
+    /// Waiting runners that no sent task has claimed yet.
+    idle: Arc<AtomicUsize>,
+}
+
+impl Runners {
+    fn new() -> Runners {
+        let (tx, rx) = mpsc::channel();
+        let (rx, idle) = (Arc::new(Mutex::new(rx)), Arc::default());
+        Runners { tx, rx, idle }
+    }
+
+    fn run(&self, task: Task) -> std::io::Result<()> {
+        let claim = |n: usize| n.checked_sub(1);
+        if self
+            .idle
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, claim)
+            .is_err()
+        {
+            let (rx, idle) = (self.rx.clone(), self.idle.clone());
+            std::thread::Builder::new().spawn(move || loop {
+                let next = rx.lock().recv_timeout(RUNNER_IDLE);
+                match next {
+                    Ok(task) => {
+                        task();
+                        idle.fetch_add(1, Ordering::AcqRel);
+                    }
+                    // Claimed while timing out: the task is on its way.
+                    Err(mpsc::RecvTimeoutError::Timeout)
+                        if idle
+                            .fetch_update(Ordering::AcqRel, Ordering::Acquire, claim)
+                            .is_err() => {}
+                    Err(_) => return,
+                }
+            })?;
+        }
+        let _ = self.tx.send(task);
+        Ok(())
+    }
 }
 
 impl Conns {
@@ -489,18 +547,18 @@ impl Conns {
         self.map.get_mut(&token).map(|conn| &mut conn.out)
     }
 
-    /// Runs `job` on a short-lived thread and posts what it returns back
-    /// to the loop. A connection whose work cannot start is closed.
+    /// Runs `job` on a runner thread and posts what it returns back to
+    /// the loop. A connection whose work cannot start is closed.
     pub(crate) fn spawn(&mut self, token: u64, job: impl FnOnce() -> Done + Send + 'static) {
         let Some(conn) = self.map.get_mut(&token) else {
             return;
         };
         let (tx, waker) = (self.tx.clone(), self.waker.clone());
-        let started = std::thread::Builder::new().spawn(move || {
+        let started = self.runners.run(Box::new(move || {
             let done = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             let _ = tx.send(done.unwrap_or(Done::Lost(token)));
             waker.wake();
-        });
+        }));
         match started {
             Ok(_) => conn.pending += 1,
             Err(_) => conn.broken = true,
@@ -875,6 +933,7 @@ impl FrontDoor {
                 map: HashMap::new(),
                 waker: waker.clone(),
                 tx,
+                runners: Runners::new(),
             },
             next_token: self.listeners.len() as u64 + 1,
             listeners: self.listeners,
@@ -950,7 +1009,6 @@ mod tests {
     use super::*;
     use std::io::{BufRead, BufReader};
     use std::net::Shutdown;
-    use std::time::Duration;
 
     #[test]
     fn route_constants_match_what_serve_dispatches_on() {
@@ -1029,6 +1087,31 @@ mod tests {
             read_head(&head, false),
             Err(HeadError::Bad(431, _))
         ));
+    }
+
+    #[test]
+    fn runners_reuse_an_idle_thread_then_let_it_go() {
+        let runners = Runners::new();
+        let (tx, rx) = mpsc::channel();
+        let mut ids = Vec::new();
+        for _ in 0..2 {
+            let tx = tx.clone();
+            let task = move || tx.send(std::thread::current().id()).unwrap();
+            runners.run(Box::new(task)).unwrap();
+            ids.push(rx.recv().unwrap());
+            while runners.idle.load(Ordering::Acquire) == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        assert_eq!(ids[0], ids[1], "the waiting runner took the second task");
+        let deadline = std::time::Instant::now() + RUNNER_IDLE * 10;
+        while runners.idle.load(Ordering::Acquire) > 0 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the idle runner never exited"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        }
     }
 
     /// A front door that echoes every request, capped at one connection.
